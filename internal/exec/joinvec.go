@@ -325,13 +325,23 @@ type vecJoin struct {
 	lslot, rslot int
 	mode         keyMode
 	ln, rn       int
+	// need marks the output slots (left fields, then right fields) the
+	// consumer reads; only those are gathered into output batches and
+	// copied into a nested build.
+	need []bool
 }
 
 // planVecJoin checks the compile-time half of join vectorizability: key
 // columns resolvable to single batch slots (expr.ColSlot), a typed key
 // mode for the kind pair, and at least one side peelable to a batch
 // source. ok is false when every execution must take the row join.
-func planVecJoin(j *plan.Join, deps Deps) (*vecJoin, bool) {
+//
+// need marks the output slots the consumer reads; nil means every slot
+// (the batch→row boundary without a projection, and the mixed flavors,
+// which box whole rows). Each side's source is peeled with its share of
+// need plus its own key slot, so a nested join below fills only what
+// this join reads or emits.
+func planVecJoin(j *plan.Join, deps Deps, need []bool) (*vecJoin, bool) {
 	if deps.DisableVectorized || deps.DisableVectorizedJoins {
 		return nil, false
 	}
@@ -351,14 +361,25 @@ func planVecJoin(j *plan.Join, deps Deps) (*vecJoin, bool) {
 		mode: mode,
 		ln:   len(j.Left.OutSchema().Fields),
 		rn:   len(j.Right.OutSchema().Fields),
+		need: need,
+	}
+	if vj.need == nil {
+		vj.need = make([]bool, vj.ln+vj.rn)
+		for i := range vj.need {
+			vj.need[i] = true
+		}
 	}
 	if slot, ok := expr.ColSlot(j.LeftKey, j.Left.OutSchema()); ok {
-		if src, ok := peelVecSource(j.Left, deps); ok {
+		lneed := append([]bool(nil), vj.need[:vj.ln]...)
+		lneed[slot] = true
+		if src, ok := peelVecSource(j.Left, deps, lneed); ok {
 			vj.lsrc, vj.lslot = src, slot
 		}
 	}
 	if slot, ok := expr.ColSlot(j.RightKey, j.Right.OutSchema()); ok {
-		if src, ok := peelVecSource(j.Right, deps); ok {
+		rneed := append([]bool(nil), vj.need[vj.ln:]...)
+		rneed[slot] = true
+		if src, ok := peelVecSource(j.Right, deps, rneed); ok {
 			vj.rsrc, vj.rslot = src, slot
 		}
 	}
@@ -371,25 +392,30 @@ func planVecJoin(j *plan.Join, deps Deps) (*vecJoin, bool) {
 // buildTable drains the build-side iterator into a typed table. When the
 // iterator is stable (a cache scan), build rows are stored as row-ids into
 // the retained full-length vectors — zero copies; otherwise (a nested
-// join's gathered batches) surviving rows are appended into fresh typed
-// vectors and row-ids address those. Null and NaN keys never enter the
-// table. The caller closes the iterator.
+// join's gathered batches) each batch's surviving rows are appended into
+// fresh typed vectors, only for the slots in need, and row-ids address
+// those; unread slots stay nil. Null and NaN keys never enter the table.
+// The caller closes the iterator.
 func (vj *vecJoin) buildTable(liter vecIter) (bcols []*store.Vec, table *joinTable) {
 	stable := liter.Stable()
 	var expect int64
 	if stable {
 		bcols = liter.Cols()
-		if len(bcols) > 0 {
-			expect = int64(bcols[0].Len())
-		}
+		expect = int64(bcols[vj.lslot].Len())
 	} else {
 		kinds := liter.Kinds()
 		bcols = make([]*store.Vec, len(kinds))
 		for i, k := range kinds {
-			bcols[i] = store.NewVec(k)
+			if vj.need[i] {
+				bcols[i] = store.NewVec(k)
+			}
 		}
 	}
 	table = newJoinTable(vj.mode, expect)
+	var (
+		keep  []int32 // unstable: this batch's rows that entered the table
+		built int32   // unstable: rows copied into bcols so far
+	)
 	for {
 		cols, sel, ok := liter.Next()
 		if !ok {
@@ -399,6 +425,7 @@ func (vj *vecJoin) buildTable(liter vecIter) (bcols []*store.Vec, table *joinTab
 			continue
 		}
 		kcol := cols[vj.lslot]
+		keep = keep[:0]
 		for _, r := range sel {
 			if kcol.Nulls.Get(int(r)) {
 				continue
@@ -407,14 +434,20 @@ func (vj *vecJoin) buildTable(liter vecIter) (bcols []*store.Vec, table *joinTab
 			if !ok {
 				continue
 			}
-			rowID := r
-			if !stable {
-				rowID = int32(bcols[0].Len())
-				for i, c := range cols {
-					bcols[i].AppendFrom(c, int(r))
+			if stable {
+				table.insert(k, r)
+				continue
+			}
+			table.insert(k, built+int32(len(keep)))
+			keep = append(keep, r)
+		}
+		if !stable {
+			for i, c := range bcols {
+				if c != nil {
+					store.AppendGather(c, cols[i], keep)
 				}
 			}
-			table.insert(k, rowID)
+			built += int32(len(keep))
 		}
 	}
 	return bcols, table
@@ -530,12 +563,17 @@ func (it *joinIter) Next() ([]*store.Vec, []int32, bool) {
 	lpart := it.lids[it.off : it.off+n]
 	rpart := it.rids[it.off : it.off+n]
 	it.off += n
+	// Only the slots the consumer reads are gathered; the rest stay nil.
 	out := make([]*store.Vec, vj.ln+vj.rn)
 	for i, c := range it.bcols {
-		out[i] = store.Gather(c, lpart)
+		if vj.need[i] {
+			out[i] = store.Gather(c, lpart)
+		}
 	}
 	for i, c := range it.rcols {
-		out[vj.ln+i] = store.Gather(c, rpart)
+		if vj.need[vj.ln+i] {
+			out[vj.ln+i] = store.Gather(c, rpart)
+		}
 	}
 	for i := 0; i < n; i++ {
 		it.sel[i] = int32(i)
@@ -721,7 +759,8 @@ func compileJoinAuto(j *plan.Join, deps Deps) (runFn, error) {
 		return nil, err
 	}
 	rowFn := parts.rowJoin()
-	vj, ok := planVecJoin(j, deps)
+	// Every flavor here emits whole rows, so every slot is read.
+	vj, ok := planVecJoin(j, deps, nil)
 	if !ok {
 		return rowFn, nil
 	}
@@ -749,7 +788,7 @@ func compileJoinAuto(j *plan.Join, deps Deps) (runFn, error) {
 // EXPLAIN uses it; it only reads entry payload snapshots.
 func VectorizedJoinInfo(j *plan.Join, m *cache.Manager, disableVec, disableVecJoins bool) (bool, int64) {
 	deps := Deps{Manager: m, DisableVectorized: disableVec, DisableVectorizedJoins: disableVecJoins}
-	vj, ok := planVecJoin(j, deps)
+	vj, ok := planVecJoin(j, deps, nil)
 	if !ok {
 		return false, 0
 	}

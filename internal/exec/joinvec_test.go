@@ -141,6 +141,15 @@ func joinParityPlans(t *testing.T, jl, jr *plan.Dataset) map[string]func() plan.
 				Child: mkJoin("lk", "rk", nil, nil),
 			})
 		},
+		"select-only-reader": func() plan.Node {
+			// The post-join Select is the only reader of rv: the join
+			// must still gather it for the kernels.
+			return mustAgg(t, []plan.AggSpec{{Func: plan.AggCount, Name: "n"}},
+				&plan.Select{
+					Pred:  expr.Cmp(expr.OpGe, expr.C("rv"), expr.L(200)),
+					Child: mkJoin("lk", "rk", nil, nil),
+				})
+		},
 		"group-by-over-join": func() plan.Node {
 			a, err := plan.NewAggregate(
 				[]plan.AggSpec{
@@ -378,4 +387,89 @@ func TestJoinTable(t *testing.T) {
 	if e := tab.lookup(miss); e != -1 {
 		t.Fatalf("lookup(1234) = %d, want -1", e)
 	}
+}
+
+// TestVectorizedJoinGathersOnlyReadSlots pins late materialization: in
+// Aggregate(Join(Join(t, jl), jr)) over warmed columnar entries, the outer
+// join's batches fill only the aggregate's argument slots, and the nested
+// join's batches fill only those from its side plus the outer join's key.
+// Every other slot stays nil; the parity suites cannot tell the difference,
+// so this test is what keeps a join from gathering every column again.
+func TestVectorizedJoinGathersOnlyReadSlots(t *testing.T) {
+	ds, jl, jr := csvDataset(t), joinLeftDataset(t), joinRightDataset(t)
+	needed := map[string][]string{
+		"t":  {"id", "qty", "price", "name"},
+		"jl": {"lk", "lf", "ls", "lv"},
+		"jr": {"rk", "rf", "rs", "rv"},
+	}
+	scan := func(d *plan.Dataset) plan.Node { return &plan.Select{Child: &plan.Scan{DS: d}} }
+	mk := func() plan.Node {
+		inner, err := plan.NewJoin(scan(ds), scan(jl), expr.C("id"), expr.C("lk"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		outer, err := plan.NewJoin(inner, scan(jr), expr.C("lk"), expr.C("rk"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mustAgg(t, []plan.AggSpec{
+			{Func: plan.AggSum, Arg: expr.C("price"), Name: "sp"},
+			{Func: plan.AggSum, Arg: expr.C("lv"), Name: "sl"},
+			{Func: plan.AggSum, Arg: expr.C("rv"), Name: "sr"},
+		}, outer)
+	}
+	m := mgr(cache.Config{Admission: cache.AlwaysEager, Layout: cache.LayoutFixedColumnar})
+	want := buildAndRun(t, m, mk, needed) // miss: builds the three entries
+	if got := buildAndRun(t, m, mk, needed); !reflect.DeepEqual(got.Rows, want.Rows) {
+		t.Fatalf("hit %v, want %v", got.Rows, want.Rows)
+	}
+
+	m.BeginQuery()
+	agg := m.Rewrite(mk(), needed).(*plan.Aggregate)
+	deps := Deps{Manager: m}
+	src, _, _, ok := vecAggInputs(agg, deps)
+	if !ok {
+		t.Fatal("aggregate over the nested join is not vectorized")
+	}
+	outer, ok := src.(*joinSource)
+	if !ok {
+		t.Fatalf("aggregate source is %T, want *joinSource", src)
+	}
+	// checkSlots drains one source and asserts the filled slots by name.
+	checkSlots := func(label string, src vecSource, schema *value.Type, filled ...string) {
+		t.Helper()
+		ctx := &qctx{deps: deps, stats: &QueryStats{}}
+		it, ok := src.open(ctx)
+		if !ok {
+			t.Fatalf("%s: source does not open", label)
+		}
+		rows := 0
+		for {
+			cols, sel, ok := it.Next()
+			if !ok {
+				break
+			}
+			rows += len(sel)
+			for i, c := range cols {
+				name := schema.Fields[i].Name
+				read := false
+				for _, f := range filled {
+					read = read || f == name
+				}
+				if read && c == nil {
+					t.Errorf("%s: read slot %q is nil", label, name)
+				}
+				if !read && c != nil {
+					t.Errorf("%s: unread slot %q was gathered", label, name)
+				}
+			}
+		}
+		it.Close(ctx)
+		if rows == 0 {
+			t.Fatalf("%s: no joined rows, the check saw nothing", label)
+		}
+	}
+	join := agg.Child.(*plan.Join)
+	checkSlots("outer join", outer, join.OutSchema(), "price", "lv", "rv")
+	checkSlots("nested join", outer.vj.lsrc, join.Left.OutSchema(), "price", "lk", "lv")
 }

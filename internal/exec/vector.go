@@ -440,7 +440,11 @@ func emitIter(ctx *qctx, it vecIter, proj []int, out emitFn) error {
 // physical selection inside scanSource; filters over a join run on the
 // gathered output batches. ok is false when the chain has any other
 // operator or a non-vectorizable predicate.
-func peelVecSource(n plan.Node, deps Deps) (vecSource, bool) {
+//
+// need marks the output slots the consumer reads (nil: every slot); the
+// filters' own slots are added to it, and a join fills only those slots
+// of its output batches. A scan serves its full-length vectors either way.
+func peelVecSource(n plan.Node, deps Deps, need []bool) (vecSource, bool) {
 	var filters []*expr.VecFilter
 	for {
 		switch x := n.(type) {
@@ -449,6 +453,7 @@ func peelVecSource(n plan.Node, deps Deps) (vecSource, bool) {
 			if !ok {
 				return nil, false
 			}
+			f.MarkSlots(need)
 			filters = append(filters, f)
 			n = x.Child
 		case *plan.CachedScan:
@@ -458,7 +463,7 @@ func peelVecSource(n plan.Node, deps Deps) (vecSource, bool) {
 			}
 			return &scanSource{p: p, filters: filters}, true
 		case *plan.Join:
-			vj, ok := planVecJoin(x, deps)
+			vj, ok := planVecJoin(x, deps, need)
 			if !ok || vj.lsrc == nil || vj.rsrc == nil {
 				return nil, false
 			}
@@ -473,22 +478,34 @@ func peelVecSource(n plan.Node, deps Deps) (vecSource, bool) {
 	}
 }
 
-// planVecProject vectorizes Project([Select*](CachedScan|Join)) when every
-// projected expression is a plain column reference: the projection is a
-// column permutation applied at the batch level.
-func planVecProject(pr *plan.Project, deps Deps, rowFn runFn) (runFn, bool) {
-	src, ok := peelVecSource(pr.Child, deps)
-	if !ok {
-		return nil, false
-	}
-	in := pr.Child.OutSchema()
-	proj := make([]int, len(pr.Exprs))
-	for i, e := range pr.Exprs {
+// colSlots maps plain column references onto input slots, marking each in
+// need; ok is false for any other expression shape.
+func colSlots(exprs []expr.Expr, in *value.Type, need []bool) ([]int, bool) {
+	slots := make([]int, len(exprs))
+	for i, e := range exprs {
 		slot, ok := expr.ColSlot(e, in)
 		if !ok {
 			return nil, false
 		}
-		proj[i] = slot
+		slots[i] = slot
+		need[slot] = true
+	}
+	return slots, true
+}
+
+// planVecProject vectorizes Project([Select*](CachedScan|Join)) when every
+// projected expression is a plain column reference: the projection is a
+// column permutation applied at the batch level.
+func planVecProject(pr *plan.Project, deps Deps, rowFn runFn) (runFn, bool) {
+	in := pr.Child.OutSchema()
+	need := make([]bool, len(in.Fields))
+	proj, ok := colSlots(pr.Exprs, in, need)
+	if !ok {
+		return nil, false
+	}
+	src, ok := peelVecSource(pr.Child, deps, need)
+	if !ok {
+		return nil, false
 	}
 	return vecEmit(src, proj, rowFn), true
 }
@@ -745,30 +762,9 @@ type vgroup struct {
 // With a Join source the batch pipeline runs end to end: probe matches are
 // gathered into batches and folded here without ever boxing a row.
 func planVecAggregate(a *plan.Aggregate, deps Deps, rowFn runFn) (runFn, bool) {
-	src, ok := peelVecSource(a.Child, deps)
+	src, args, gcols, ok := vecAggInputs(a, deps)
 	if !ok {
 		return nil, false
-	}
-	in := a.Child.OutSchema()
-	args := make([]int, len(a.Aggs))
-	for i, s := range a.Aggs {
-		if s.Arg == nil {
-			args[i] = -1
-			continue
-		}
-		slot, ok := expr.ColSlot(s.Arg, in)
-		if !ok {
-			return nil, false
-		}
-		args[i] = slot
-	}
-	gcols := make([]int, len(a.GroupBy))
-	for i, g := range a.GroupBy {
-		slot, ok := expr.ColSlot(g, in)
-		if !ok {
-			return nil, false
-		}
-		gcols[i] = slot
 	}
 	specs := a.Aggs
 
@@ -867,6 +863,32 @@ func planVecAggregate(a *plan.Aggregate, deps Deps, rowFn runFn) (runFn, bool) {
 		}
 		return nil
 	}, true
+}
+
+// vecAggInputs resolves the aggregate arguments (-1 for COUNT(*)) and
+// GROUP BY keys to input slots and peels the batch source below, which
+// then fills only those slots.
+func vecAggInputs(a *plan.Aggregate, deps Deps) (src vecSource, args, gcols []int, ok bool) {
+	in := a.Child.OutSchema()
+	need := make([]bool, len(in.Fields))
+	args = make([]int, len(a.Aggs))
+	for i, s := range a.Aggs {
+		args[i] = -1
+		if s.Arg == nil {
+			continue
+		}
+		slot, ok := expr.ColSlot(s.Arg, in)
+		if !ok {
+			return nil, nil, nil, false
+		}
+		args[i] = slot
+		need[slot] = true
+	}
+	if gcols, ok = colSlots(a.GroupBy, in, need); !ok {
+		return nil, nil, nil, false
+	}
+	src, ok = peelVecSource(a.Child, deps, need)
+	return src, args, gcols, ok
 }
 
 // canonFloatBits normalizes a float group key for hashing/equality: all

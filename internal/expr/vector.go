@@ -254,6 +254,16 @@ func (f *VecFilter) CompatibleKinds(kinds []value.Kind) bool {
 	return true
 }
 
+// MarkSlots sets need[i] for every batch slot a kernel reads, so a source
+// below the filter knows which columns it must fill.
+func (f *VecFilter) MarkSlots(need []bool) {
+	for i := range f.specs {
+		if idx := f.specs[i].idx; idx < len(need) {
+			need[idx] = true
+		}
+	}
+}
+
 // Selective reports whether the filter has at least one kernel (a
 // pass-everything filter is not selective).
 func (f *VecFilter) Selective() bool { return len(f.specs) > 0 }

@@ -1,77 +1,56 @@
 package store
 
-import "recache/internal/value"
+import (
+	"slices"
 
-// This file holds the batch gather/permutation helpers the vectorized join
-// uses: a join's build table stores row-ids into retained column vectors
-// instead of copied rows, and the probe side materializes matched output
-// batches by gathering those row-ids back out of the columns — typed moves
-// end to end, no boxed value.Value until the pipeline boundary.
+	"recache/internal/value"
+)
+
+// This file holds the batch gather helpers the vectorized join uses: a
+// join's build table stores row-ids into retained column vectors instead
+// of copied rows, and the probe side materializes matched output batches
+// by gathering those row-ids back out of the columns — typed moves end to
+// end, no boxed value.Value until the pipeline boundary.
 
 // NewVec returns an empty vector of the given kind; the vectorized join
-// accumulates copies of non-addressable build batches into fresh vectors
-// through AppendFrom.
+// compacts non-addressable build batches into fresh vectors through
+// AppendGather.
 func NewVec(k value.Kind) *Vec { return &Vec{Kind: k} }
 
-// AppendFrom appends src's i-th entry to v without materializing a boxed
-// value. Both vectors must share a kind.
-func (v *Vec) AppendFrom(src *Vec, i int) {
-	if src.Nulls.Get(i) {
-		v.Nulls.Append(true)
-		switch v.Kind {
-		case value.Int:
-			v.Ints = append(v.Ints, 0)
-		case value.Float:
-			v.Floats = append(v.Floats, 0)
-		case value.String:
-			v.Strs = append(v.Strs, "")
-		case value.Bool:
-			v.Bools = append(v.Bools, false)
-		}
-		return
-	}
-	v.Nulls.Append(false)
-	switch v.Kind {
+// Gather returns a new vector holding src's entries at ids, in order (the
+// row-id addressing of the vectorized join's output batches).
+func Gather(src *Vec, ids []int32) *Vec {
+	out := &Vec{Kind: src.Kind}
+	AppendGather(out, src, ids)
+	return out
+}
+
+// AppendGather appends src's entries at ids to dst, in order. Both vectors
+// must share a kind. The kind dispatch happens once per call, not per row.
+func AppendGather(dst, src *Vec, ids []int32) {
+	switch src.Kind {
 	case value.Int:
-		v.Ints = append(v.Ints, src.Ints[i])
+		dst.Ints = gatherInto(dst.Ints, src.Ints, ids)
 	case value.Float:
-		v.Floats = append(v.Floats, src.Floats[i])
+		dst.Floats = gatherInto(dst.Floats, src.Floats, ids)
 	case value.String:
-		v.Strs = append(v.Strs, src.Strs[i])
+		dst.Strs = gatherInto(dst.Strs, src.Strs, ids)
 	case value.Bool:
-		v.Bools = append(v.Bools, src.Bools[i])
+		dst.Bools = gatherInto(dst.Bools, src.Bools, ids)
+	}
+	dst.Nulls.grow(len(ids))
+	for _, id := range ids {
+		dst.Nulls.Append(src.Nulls.Get(int(id)))
 	}
 }
 
-// Gather returns a new vector holding src's entries at ids, in order (the
-// row-id addressing of the vectorized join's output batches). The kind
-// dispatch happens once per call, not per row.
-func Gather(src *Vec, ids []int32) *Vec {
-	out := &Vec{Kind: src.Kind}
-	switch src.Kind {
-	case value.Int:
-		out.Ints = make([]int64, len(ids))
-		for k, id := range ids {
-			out.Ints[k] = src.Ints[id]
-		}
-	case value.Float:
-		out.Floats = make([]float64, len(ids))
-		for k, id := range ids {
-			out.Floats[k] = src.Floats[id]
-		}
-	case value.String:
-		out.Strs = make([]string, len(ids))
-		for k, id := range ids {
-			out.Strs[k] = src.Strs[id]
-		}
-	case value.Bool:
-		out.Bools = make([]bool, len(ids))
-		for k, id := range ids {
-			out.Bools[k] = src.Bools[id]
-		}
+// gatherInto appends src[id] for every id to dst, growing it once.
+func gatherInto[T any](dst, src []T, ids []int32) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(ids))[:n+len(ids)]
+	out := dst[n:]
+	for k, id := range ids {
+		out[k] = src[id]
 	}
-	for _, id := range ids {
-		out.Nulls.Append(src.Nulls.Get(int(id)))
-	}
-	return out
+	return dst
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 
 	"recache/internal/value"
 )
@@ -27,6 +28,13 @@ func (b *Bitmap) Append(null bool) {
 		b.words[b.n>>6] |= 1 << (uint(b.n) & 63)
 	}
 	b.n++
+}
+
+// grow reserves room for k more entries, so k Appends allocate at most once.
+func (b *Bitmap) grow(k int) {
+	if more := (b.n+k+63)>>6 - len(b.words); more > 0 {
+		b.words = slices.Grow(b.words, more)
+	}
 }
 
 // Get reports whether entry i is null.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"reflect"
 	"testing"
 
 	"recache/internal/value"
@@ -268,6 +269,53 @@ func TestBatchCursorMatchesRowScans(t *testing.T) {
 					t.Errorf("flat row %d col %d = %v, want %v",
 						k, i, chunkF[k*2+i], wantF[k][i])
 				}
+			}
+		}
+	}
+}
+
+// TestAppendGather: appending gathered entries onto a non-empty vector
+// keeps its prefix, follows ids in order (repeats included), and carries
+// nulls across a bitmap word boundary; Gather matches AppendGather onto an
+// empty vector, for every kind.
+func TestAppendGather(t *testing.T) {
+	vals := map[value.Kind]func(i int) value.Value{
+		value.Int:    func(i int) value.Value { return value.VInt(int64(i)) },
+		value.Float:  func(i int) value.Value { return value.VFloat(float64(i) + 0.5) },
+		value.String: func(i int) value.Value { return value.VString(string(rune('a' + i%26))) },
+		value.Bool:   func(i int) value.Value { return value.VBool(i%3 == 0) },
+	}
+	for kind, gen := range vals {
+		src := NewVec(kind)
+		for i := 0; i < 100; i++ {
+			if i%7 == 0 {
+				src.AppendVal(value.VNull)
+			} else {
+				src.AppendVal(gen(i))
+			}
+		}
+		dst := NewVec(kind)
+		for i := 0; i < 60; i++ {
+			dst.AppendVal(gen(i))
+		}
+		ids := []int32{99, 0, 7, 8, 8, 63, 64, 50}
+		AppendGather(dst, src, ids)
+		if dst.Len() != 60+len(ids) {
+			t.Fatalf("%v: Len = %d, want %d", kind, dst.Len(), 60+len(ids))
+		}
+		for i := 0; i < 60; i++ {
+			if got := dst.Get(i); !reflect.DeepEqual(got, gen(i)) {
+				t.Errorf("%v: prefix[%d] = %v, want %v", kind, i, got, gen(i))
+			}
+		}
+		g := Gather(src, ids)
+		for k, id := range ids {
+			want := src.Get(int(id))
+			if got := dst.Get(60 + k); !reflect.DeepEqual(got, want) {
+				t.Errorf("%v: appended[%d] = %v, want src[%d] = %v", kind, k, got, id, want)
+			}
+			if got := g.Get(k); !reflect.DeepEqual(got, want) {
+				t.Errorf("%v: Gather[%d] = %v, want %v", kind, k, got, want)
 			}
 		}
 	}

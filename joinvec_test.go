@@ -52,7 +52,7 @@ func joinTestEngine(t *testing.T, cfg Config) *Engine {
 // joinCorpus is the engine-level differential corpus: every join shape the
 // executor supports, across key kinds (including Int/Float cross-type),
 // NULL keys dropped on both sides, ±0 and NaN float keys, empty build
-// sides, duplicate-key fanout, and a three-way join whose outer build side
+// sides, duplicate-key fanout, and three-way joins whose outer build side
 // is itself a join.
 func joinCorpus() []string {
 	return []string{
@@ -66,6 +66,14 @@ func joinCorpus() []string {
 		"SELECT lv, rv FROM tjl JOIN tjr ON lk = rk",
 		"SELECT ls, COUNT(*) AS n, SUM(rv) FROM tjl JOIN tjr ON lk = rk GROUP BY ls",
 		"SELECT COUNT(*), SUM(price) FROM t3 JOIN tjl ON id = lk JOIN tjr ON lk = rk",
+		// Three-way shapes that read few columns above the nested join:
+		// the group key from the nested build side, no column at all, a
+		// Project whose row order matters, and a post-join Select that is
+		// the only reader of lv and rv.
+		"SELECT name, COUNT(*) AS n FROM t3 JOIN tjl ON id = lk JOIN tjr ON lk = rk GROUP BY name",
+		"SELECT COUNT(*) FROM t3 JOIN tjl ON id = lk JOIN tjr ON lk = rk",
+		"SELECT name, rv FROM t3 JOIN tjl ON id = lk JOIN tjr ON lk = rk",
+		"SELECT COUNT(*), SUM(qty) FROM t3 JOIN tjl ON id = lk JOIN tjr ON lk = rk WHERE lv < rv",
 	}
 }
 
@@ -227,46 +235,49 @@ func TestExplainShowsJoinFlavor(t *testing.T) {
 
 // --- the acceptance benchmark ---
 
-// benchJoinEngine builds an engine over two generated CSVs big enough that
-// the join flavor dominates, warms the cache, and returns the hot query:
-// a selective build side joined against a wide probe side, aggregate on
-// top — the shape the batch pipeline must carry end to end.
-func benchJoinEngine(b *testing.B, disableVecJoins bool) (*Engine, string) {
+// benchJoinOpen registers one generated CSV per table prefix p (table
+// big<p> with columns <p>id, <p>qty, <p>price; priceMod sets the price
+// spread), big enough that the join flavor dominates, and warms q so every
+// entry it reads is built.
+func benchJoinOpen(b *testing.B, cfg Config, priceMod map[string]int, q string) *Engine {
 	b.Helper()
 	const rows = 50000
 	dir := b.TempDir()
-	var lb, rb strings.Builder
-	for i := 0; i < rows; i++ {
-		fmt.Fprintf(&lb, "%d|%d|%d.%02d\n", i, i%100, i%500, i%100)
-		fmt.Fprintf(&rb, "%d|%d|%d.%02d\n", i, i%100, i%300, i%100)
-	}
-	lp := filepath.Join(dir, "bigl.csv")
-	rp := filepath.Join(dir, "bigr.csv")
-	if err := os.WriteFile(lp, []byte(lb.String()), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(rp, []byte(rb.String()), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	eng, err := Open(Config{Admission: "eager", Layout: "columnar",
-		DisableVectorizedJoins: disableVecJoins})
+	eng, err := Open(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := eng.RegisterCSV("bigl", lp, "lid int, lqty int, lprice float", '|'); err != nil {
+	for p, mod := range priceMod {
+		var sb strings.Builder
+		for i := 0; i < rows; i++ {
+			fmt.Fprintf(&sb, "%d|%d|%d.%02d\n", i, i%100, i%mod, i%100)
+		}
+		path := filepath.Join(dir, "big"+p+".csv")
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+			b.Fatal(err)
+		}
+		schema := fmt.Sprintf("%sid int, %sqty int, %sprice float", p, p, p)
+		if err := eng.RegisterCSV("big"+p, path, schema, '|'); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := eng.Query(q); err != nil { // warm: build the entries
 		b.Fatal(err)
 	}
-	if err := eng.RegisterCSV("bigr", rp, "rid int, rqty int, rprice float", '|'); err != nil {
-		b.Fatal(err)
-	}
+	return eng
+}
+
+// benchJoinEngine returns a warmed engine and its hot query: a selective
+// build side joined against a wide probe side, aggregate on top — the
+// shape the batch pipeline must carry end to end.
+func benchJoinEngine(b *testing.B, disableVecJoins bool) (*Engine, string) {
+	b.Helper()
 	// Build side ~10% of rows, probe side ~80%: the probe loop and the
 	// joined-output consumption dominate, as in a warmed join workload.
 	q := "SELECT SUM(lprice), SUM(rprice), COUNT(*) FROM bigl JOIN bigr ON lid = rid " +
 		"WHERE lqty BETWEEN 10 AND 19 AND rqty < 80"
-	if _, err := eng.Query(q); err != nil { // warm: build both entries
-		b.Fatal(err)
-	}
-	return eng, q
+	cfg := Config{Admission: "eager", Layout: "columnar", DisableVectorizedJoins: disableVecJoins}
+	return benchJoinOpen(b, cfg, map[string]int{"l": 500, "r": 300}, q), q
 }
 
 // BenchmarkVectorizedJoin compares the two join flavors over hot columnar
@@ -288,6 +299,26 @@ func BenchmarkVectorizedJoin(b *testing.B) {
 		b.StopTimer()
 		if got := eng.CacheStats().VectorizedJoins; got < int64(b.N) {
 			b.Fatalf("vectorized joins = %d, want >= %d", got, b.N)
+		}
+	})
+	b.Run("nested", func(b *testing.B) {
+		// Three tables, one aggregated column each: the outer build side
+		// is itself a vectorized join, so its gathered batches are copied
+		// into the nested build.
+		q := "SELECT SUM(lprice), SUM(mprice), SUM(rprice) FROM bigl JOIN bigm ON lid = mid " +
+			"JOIN bigr ON mid = rid WHERE lqty BETWEEN 10 AND 19 AND rqty < 80"
+		eng := benchJoinOpen(b, Config{Admission: "eager", Layout: "columnar"},
+			map[string]int{"l": 500, "m": 400, "r": 300}, q)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := eng.Query(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if got := eng.CacheStats().VectorizedJoins; got < 2*int64(b.N) {
+			b.Fatalf("vectorized joins = %d, want >= %d", got, 2*b.N)
 		}
 	})
 	b.Run("row", func(b *testing.B) {
