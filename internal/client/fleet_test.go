@@ -97,7 +97,7 @@ func startFleet(t *testing.T, n int, csvPath string) *testFleet {
 
 func dialRouter(t *testing.T, addrs []string) *client.Router {
 	t.Helper()
-	r, err := client.DialRouter(addrs, client.Options{RequestTimeout: 10 * time.Second})
+	r, err := client.DialRouterOpts(addrs, client.RouterOptions{Options: client.Options{RequestTimeout: 10 * time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestRouterRoutesToOwner(t *testing.T) {
 	}
 }
 
-// The fleet wire op: any member reports the full topology, DialFleet
+// The fleet wire op: any member reports the full topology, DialFleetOpts
 // discovers the fleet from one seed, and a daemon outside any fleet
 // refuses the op.
 func TestFleetDiscovery(t *testing.T) {
@@ -212,9 +212,9 @@ func TestFleetDiscovery(t *testing.T) {
 		}
 	}
 
-	r, err := client.DialFleet(f.addrs[2], client.Options{RequestTimeout: 5 * time.Second})
+	r, err := client.DialFleetOpts(f.addrs[2], client.RouterOptions{Options: client.Options{RequestTimeout: 5 * time.Second}})
 	if err != nil {
-		t.Fatalf("DialFleet: %v", err)
+		t.Fatalf("DialFleetOpts: %v", err)
 	}
 	defer r.Close()
 	if r.Shards() != 3 {
@@ -250,8 +250,8 @@ func TestFleetDiscovery(t *testing.T) {
 	if _, err := scl.Fleet(); err == nil || !strings.Contains(err.Error(), "fleet") {
 		t.Fatalf("fleet op on solo daemon: %v, want not-part-of-a-fleet error", err)
 	}
-	if _, err := client.DialFleet("unix:"+sock, client.Options{RequestTimeout: 5 * time.Second}); err == nil {
-		t.Fatal("DialFleet against a solo daemon succeeded")
+	if _, err := client.DialFleetOpts("unix:"+sock, client.RouterOptions{Options: client.Options{RequestTimeout: 5 * time.Second}}); err == nil {
+		t.Fatal("DialFleetOpts against a solo daemon succeeded")
 	}
 }
 
@@ -261,7 +261,7 @@ func TestFleetDiscovery(t *testing.T) {
 // correct count — every shard knows every table), and nothing hangs.
 func TestRouterShardFailover(t *testing.T) {
 	f := startFleet(t, 3, fleetCSV(t, 300))
-	r, err := client.DialRouter(f.addrs, client.Options{RequestTimeout: 5 * time.Second})
+	r, err := client.DialRouterOpts(f.addrs, client.RouterOptions{Options: client.Options{RequestTimeout: 5 * time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestRouterConnectionChurn(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				r, err := client.DialRouter(f.addrs, client.Options{RequestTimeout: 5 * time.Second})
+				r, err := client.DialRouterOpts(f.addrs, client.RouterOptions{Options: client.Options{RequestTimeout: 5 * time.Second}})
 				if err != nil {
 					errCh <- err
 					return

@@ -148,13 +148,8 @@ type RouterStats struct {
 	OpenShards   int
 }
 
-// DialRouter connects to every shard in addrs; shard ids are list
+// DialRouterOpts connects to every shard in addrs; shard ids are list
 // positions, so the list must match the fleet's -fleet flag order.
-func DialRouter(addrs []string, opts Options) (*Router, error) {
-	return DialRouterOpts(addrs, RouterOptions{Options: opts})
-}
-
-// DialRouterOpts is DialRouter with the full resilience configuration.
 func DialRouterOpts(addrs []string, opts RouterOptions) (*Router, error) {
 	infos := make([]shard.Info, len(addrs))
 	for i, a := range addrs {
@@ -167,13 +162,8 @@ func DialRouterOpts(addrs []string, opts RouterOptions) (*Router, error) {
 	return dialMap(m, opts)
 }
 
-// DialFleet discovers the topology from one seed shard (the fleet wire op)
-// and connects to every member.
-func DialFleet(seed string, opts Options) (*Router, error) {
-	return DialFleetOpts(seed, RouterOptions{Options: opts})
-}
-
-// DialFleetOpts is DialFleet with the full resilience configuration.
+// DialFleetOpts discovers the topology from one seed shard (the fleet wire
+// op) and connects to every member.
 func DialFleetOpts(seed string, opts RouterOptions) (*Router, error) {
 	scl, err := Dial(seed, opts.Options)
 	if err != nil {

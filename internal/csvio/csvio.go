@@ -1,24 +1,20 @@
-// Package csvio is the CSV input plugin: a Proteus-style raw-data access
-// path over delimited text files. The first scan of a file tokenizes every
-// record and builds a positional map — the byte offset of each record and of
-// every field within it (the "skeleton" of the file, §3.1 of the paper).
-// Subsequent scans use the map to jump directly to the needed fields and
-// parse nothing else, and lazy caches replay just the satisfying records
-// through ScanOffsets.
+// Package csvio is the CSV input plugin over delimited text files. The
+// shared raw-file core (internal/rawfile) owns loading, freshness, the
+// positional map and every scan driver; this package owns only what is
+// CSV: option handling and schema validation in New, the line tokenizer
+// that maps a record's field offsets, the field decoders and pushed-test
+// evaluation over raw field bytes, the header rule (records start past the
+// header line), and InferSchema.
 package csvio
 
 import (
 	"bytes"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"recache/internal/expr"
-	"recache/internal/freshness"
-	"recache/internal/plan"
+	"recache/internal/rawfile"
 	"recache/internal/value"
 )
 
@@ -37,53 +33,9 @@ func (o Options) delim() byte {
 	return o.Delim
 }
 
-// snapshot is one immutable view of the file: its ingested bytes, the
-// positional map built over them, the epoch those byte offsets belong to,
-// and the fingerprint that detects divergence from disk. Snapshots are
-// published through an atomic pointer and never mutated after publication,
-// with one deliberate exception: an append-extension may grow the data /
-// recStart / fieldOff backing arrays *beyond the published lengths* in
-// place. Readers slice by the lengths captured in their own snapshot, so
-// writes past those lengths are invisible to them — the classic
-// append-only-log trick, giving lock-free readers across extensions.
-type snapshot struct {
-	data     []byte
-	recStart []int64
-	fieldOff []uint32 // nrecs × nfields, offsets relative to recStart
-	mapped   bool     // recStart/fieldOff are populated
-	loaded   bool     // data was read from disk (false after a rewrite reset)
-	epoch    uint64   // bumps on every rewrite; byte offsets are per-epoch
-	fp       freshness.Fingerprint
-}
-
-// Provider implements plan.ScanProvider for one CSV file.
-//
-// Providers are safe for concurrent scans: all shared state lives in an
-// immutable snapshot behind an atomic pointer; p.mu serializes the writers
-// (initial load, positional-map publication, Refresh). Concurrent first
-// scans each tokenize independently (the per-scan row buffers are local);
-// the first to finish publishes the map.
-type Provider struct {
-	path   string
-	schema *value.Type
-	opts   Options
-	size   atomic.Int64
-
-	mu   sync.Mutex // serializes snapshot replacement (load, map, refresh)
-	snap atomic.Pointer[snapshot]
-
-	// scans counts full-file Scan calls (not ScanOffsets replays or tail
-	// scans); the work-sharing bench and tests use it to assert how many
-	// raw parses a burst of concurrent misses actually paid for. pushScans
-	// counts the subset that evaluated a pushdown below parsing, and
-	// pushSkipped the records those scans rejected before decoding
-	// anything else.
-	scans       atomic.Int64
-	pushScans   atomic.Int64
-	pushSkipped atomic.Int64
-
-	nfields int
-}
+// Provider is the shared raw-file provider (see internal/rawfile) driving
+// the CSV format.
+type Provider = rawfile.Provider
 
 // New creates a provider over path with an explicit flat record schema.
 func New(path string, schema *value.Type, opts Options) (*Provider, error) {
@@ -95,288 +47,69 @@ func New(path string, schema *value.Type, opts Options) (*Provider, error) {
 			return nil, fmt.Errorf("csvio: field %q is not primitive", f.Name)
 		}
 	}
-	st, err := os.Stat(path)
-	if err != nil {
-		return nil, fmt.Errorf("csvio: %w", err)
-	}
-	p := &Provider{
-		path:    path,
-		schema:  schema,
-		opts:    opts,
-		nfields: len(schema.Fields),
-	}
-	p.size.Store(st.Size())
-	return p, nil
+	return rawfile.New("csvio", path, schema, &format{schema: schema, delim: opts.delim(), header: opts.HasHeader})
 }
 
-// Schema implements plan.ScanProvider.
-func (p *Provider) Schema() *value.Type { return p.schema }
-
-// NumRecords implements plan.ScanProvider: -1 before the first scan.
-func (p *Provider) NumRecords() int {
-	s := p.snap.Load()
-	if s == nil || !s.mapped {
-		return -1
-	}
-	return len(s.recStart)
+// format implements rawfile.Format for delimited text: one record per
+// line, fields split at the delimiter, an empty field is NULL.
+type format struct {
+	schema *value.Type
+	delim  byte
+	header bool
 }
 
-// SizeBytes implements plan.ScanProvider.
-func (p *Provider) SizeBytes() int64 { return p.size.Load() }
-
-// Scans returns the number of full-file scans performed so far.
-func (p *Provider) Scans() int64 { return p.scans.Load() }
-
-// PushdownStats reports how many full-file scans evaluated a pushdown below
-// parsing and how many records those scans skipped before full decode.
-func (p *Provider) PushdownStats() (scans, skipped int64) {
-	return p.pushScans.Load(), p.pushSkipped.Load()
+// Skip implements rawfile.Format: records start on a line boundary, past
+// the header line when the options declare one.
+func (f *format) Skip(data []byte, from int) int {
+	if !f.header || (from > 0 && data[from-1] == '\n') {
+		return from
+	}
+	return max(from, min(lineEnd(data, 0)+1, len(data)))
 }
 
-// ensureLoaded publishes the file contents exactly once per epoch
-// (double-checked) and returns the current snapshot.
-func (p *Provider) ensureLoaded() (*snapshot, error) {
-	if s := p.snap.Load(); s != nil && s.loaded {
-		return s, nil
+// Record implements rawfile.Format: tokenize the line starting at start,
+// then decode the masked fields, each ending where the next field's offset
+// says (no second delimiter search).
+func (f *format) Record(data []byte, start int, mask []bool, row []value.Value, offs []uint32) (int, error) {
+	end := lineEnd(data, start)
+	nf := tokenizeLine(data[start:end], f.delim, offs)
+	if nf < len(offs) {
+		return 0, fmt.Errorf("csvio: record at offset %d has %d fields, want %d", start, nf, len(offs))
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if s := p.snap.Load(); s != nil && s.loaded {
-		return s, nil
-	}
-	st, err := os.Stat(p.path)
-	if err != nil {
-		return nil, fmt.Errorf("csvio: %w", err)
-	}
-	b, err := os.ReadFile(p.path)
-	if err != nil {
-		return nil, fmt.Errorf("csvio: %w", err)
-	}
-	epoch := uint64(1)
-	if s := p.snap.Load(); s != nil {
-		epoch = s.epoch
-	}
-	ns := &snapshot{
-		data:   b,
-		loaded: true,
-		epoch:  epoch,
-		fp:     freshness.Capture(b, st.ModTime().UnixNano()),
-	}
-	p.size.Store(int64(len(b)))
-	p.snap.Store(ns)
-	return ns, nil
-}
-
-// Version implements plan.RefreshableProvider: the current (epoch, covered
-// bytes), loading the file first if needed. On a load failure it reports
-// zero coverage under the current epoch — any scan would fail the same way,
-// so nothing is built against the bogus version.
-func (p *Provider) Version() (uint64, int64) {
-	s, err := p.ensureLoaded()
-	if err != nil {
-		if s := p.snap.Load(); s != nil {
-			return s.epoch, 0
-		}
-		return 0, 0
-	}
-	return s.epoch, int64(len(s.data))
-}
-
-// Refresh implements plan.RefreshableProvider: re-check the backing file
-// against the snapshot's fingerprint and reconcile. Appends extend the
-// snapshot in place (same epoch); rewrites reset the provider to an
-// unloaded snapshot under a new epoch, so the next scan reloads lazily.
-func (p *Provider) Refresh() (plan.FreshnessReport, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := p.snap.Load()
-	if s == nil || !s.loaded {
-		var ep uint64
-		if s != nil {
-			ep = s.epoch
-		}
-		return plan.FreshnessReport{Status: plan.FileUnchanged, Epoch: ep}, nil
-	}
-	status, _ := s.fp.Check(p.path)
-	switch status {
-	case freshness.Unchanged:
-		return plan.FreshnessReport{Status: plan.FileUnchanged, Epoch: s.epoch, Covered: int64(len(s.data))}, nil
-	case freshness.Appended:
-		return p.extendLocked(s)
-	default:
-		return p.resetLocked(s), nil
-	}
-}
-
-// resetLocked replaces the snapshot with an unloaded one under a new epoch.
-func (p *Provider) resetLocked(s *snapshot) plan.FreshnessReport {
-	ns := &snapshot{epoch: s.epoch + 1}
-	p.snap.Store(ns)
-	if st, err := os.Stat(p.path); err == nil {
-		p.size.Store(st.Size())
-	}
-	return plan.FreshnessReport{Status: plan.FileRewritten, Epoch: ns.epoch}
-}
-
-// extendLocked grows the snapshot over the file's new tail: read only the
-// bytes past the covered prefix, trim at the last newline (a torn trailing
-// line stays uncovered until it completes), tokenize the new complete
-// records onto the positional map, and publish a longer snapshot under the
-// same epoch. Falls back to a rewrite reset whenever the extension cannot
-// be proven equivalent to a fresh full scan.
-func (p *Provider) extendLocked(s *snapshot) (plan.FreshnessReport, error) {
-	old := len(s.data)
-	if old > 0 && s.data[old-1] != '\n' {
-		// The covered prefix ends mid-record: new bytes change the meaning
-		// of the last record already served, which no in-place extension
-		// can express.
-		return p.resetLocked(s), nil
-	}
-	f, err := os.Open(p.path)
-	if err != nil {
-		return p.resetLocked(s), nil
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return p.resetLocked(s), nil
-	}
-	sz := st.Size()
-	if sz < int64(old) {
-		return p.resetLocked(s), nil
-	}
-	if sz == int64(old) {
-		return plan.FreshnessReport{Status: plan.FileUnchanged, Epoch: s.epoch, Covered: int64(old)}, nil
-	}
-	tail := make([]byte, sz-int64(old))
-	if _, err := f.ReadAt(tail, int64(old)); err != nil {
-		return p.resetLocked(s), nil
-	}
-	cut := bytes.LastIndexByte(tail, '\n')
-	if cut < 0 {
-		// The appended bytes hold no complete record yet.
-		return plan.FreshnessReport{Status: plan.FileUnchanged, Epoch: s.epoch, Covered: int64(old)}, nil
-	}
-	tail = tail[:cut+1]
-
-	// Appending may write into spare capacity past the published lengths
-	// (invisible to snapshot readers) or reallocate; both are safe.
-	data := append(s.data, tail...)
-	ns := &snapshot{
-		data:   data,
-		loaded: true,
-		epoch:  s.epoch,
-		fp:     freshness.Capture(data, st.ModTime().UnixNano()),
-	}
-	if s.mapped {
-		recStart, fieldOff := s.recStart, s.fieldOff
-		delim := p.opts.delim()
-		i := old
-		for i < len(data) {
-			start := i
-			end := lineEnd(data, i)
-			var nf int
-			fieldOff, nf = tokenizeLine(data[start:end], delim, fieldOff, p.nfields)
-			if nf < p.nfields {
-				// Malformed appended record: the extension would poison the
-				// map, so invalidate wholesale instead.
-				return p.resetLocked(s), nil
-			}
-			recStart = append(recStart, int64(start))
-			i = end + 1
-		}
-		ns.recStart, ns.fieldOff, ns.mapped = recStart, fieldOff, true
-	}
-	p.size.Store(sz)
-	p.snap.Store(ns)
-	return plan.FreshnessReport{
-		Status:    plan.FileAppended,
-		Epoch:     ns.epoch,
-		Covered:   int64(len(data)),
-		TailBytes: int64(len(tail)),
-	}, nil
-}
-
-// neededIndexes maps needed paths to field indexes; nil means every field.
-func (p *Provider) neededIndexes(needed []value.Path) ([]bool, error) {
-	if needed == nil {
-		return nil, nil
-	}
-	mask := make([]bool, p.nfields)
-	for _, np := range needed {
-		i, _ := p.schema.FieldIndex(np.String())
-		if i < 0 {
-			return nil, fmt.Errorf("csvio: unknown field %q", np)
-		}
-		mask[i] = true
-	}
-	return mask, nil
-}
-
-// noComplete is the completion callback for already-complete records.
-func noComplete() error { return nil }
-
-// Scan implements plan.ScanProvider. The first call tokenizes the whole
-// file and builds the positional map; later calls parse only needed fields.
-// The complete callback handed to fn parses the skipped fields in place.
-func (p *Provider) Scan(needed []value.Path, fn plan.ScanFunc) error {
-	p.scans.Add(1)
-	s, err := p.ensureLoaded()
-	if err != nil {
-		return err
-	}
-	mask, err := p.neededIndexes(needed)
-	if err != nil {
-		return err
-	}
-	if !s.mapped {
-		return p.firstScan(s, mask, fn)
-	}
-	row := make([]value.Value, p.nfields)
-	rec := value.Value{Kind: value.Record, L: row}
-	for ri, start := range s.recStart {
-		if err := p.parseAt(s, ri, start, mask, row); err != nil {
-			return err
-		}
-		complete := noComplete
-		if mask != nil {
-			ri, start := ri, start
-			complete = func() error { return p.completeAt(s, ri, start, mask, row) }
-		}
-		if err := fn(rec, start, complete); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// completeAt parses the fields mask skipped, using the positional map.
-func (p *Provider) completeAt(s *snapshot, ri int, start int64, mask []bool, row []value.Value) error {
-	offs := s.fieldOff[ri*p.nfields : (ri+1)*p.nfields]
-	for fi := 0; fi < p.nfields; fi++ {
-		if mask[fi] {
+	for fi := range row {
+		if mask != nil && !mask[fi] {
+			row[fi] = value.VNull
 			continue
 		}
-		beg := int(start) + int(offs[fi])
-		v, err := p.parseField(fi, s.data[beg:p.fieldEnd(s.data, beg)])
-		if err != nil {
-			return err
+		beg := start + int(offs[fi])
+		fe := end
+		switch {
+		case fi+1 < len(offs):
+			fe = start + int(offs[fi+1]) - 1
+		case nf > len(offs):
+			// Extra trailing fields: the last mapped field ends at its own
+			// delimiter, not the line end.
+			fe = f.fieldEnd(data, beg)
 		}
-		row[fi] = v
+		if err := f.parseField(fi, data[beg:fe], &row[fi]); err != nil {
+			return 0, err
+		}
 	}
-	return nil
+	return min(end+1, len(data)), nil
 }
 
-// skipHeader returns the offset of the first data byte, past the header
-// line when the options declare one.
-func (p *Provider) skipHeader(data []byte) int {
-	if !p.opts.HasHeader {
-		return 0
+// Field implements rawfile.Format.
+func (f *format) Field(data []byte, fi, beg int, dst *value.Value) error {
+	return f.parseField(fi, data[beg:f.fieldEnd(data, beg)], dst)
+}
+
+// Needles implements rawfile.Format: CSV fields are unquoted, so the
+// equality literal's bare bytes are the needle.
+func (f *format) Needles(data []byte, pd *expr.Pushdown) []*expr.NeedleCursor {
+	if nc := expr.NewNeedleCursor(data, pd.EqNeedle()); nc != nil {
+		return []*expr.NeedleCursor{nc}
 	}
-	if j := bytes.IndexByte(data, '\n'); j >= 0 {
-		return j + 1
-	}
-	return len(data)
+	return nil
 }
 
 // lineEnd returns the offset of the newline terminating the record that
@@ -389,225 +122,32 @@ func lineEnd(data []byte, i int) int {
 	return len(data)
 }
 
-// tokenizeLine appends the first max field offsets (relative to the record
-// start) of line to fieldOff and returns the extended slice plus the total
-// field count. bytes.IndexByte does the delimiter search word-at-a-time —
-// the first scan still touches every byte of the file, but in the
-// runtime's vectorized memchr rather than a branchy per-byte loop.
-func tokenizeLine(line []byte, delim byte, fieldOff []uint32, max int) ([]uint32, int) {
+// tokenizeLine writes the first len(offs) field offsets (relative to the
+// record start) of line into offs and returns the total field count.
+// bytes.IndexByte does the delimiter search word-at-a-time — the first scan
+// still touches every byte of the file, but in the runtime's vectorized
+// memchr rather than a branchy per-byte loop.
+func tokenizeLine(line []byte, delim byte, offs []uint32) int {
 	fi, off := 0, 0
 	for {
-		if fi < max {
-			fieldOff = append(fieldOff, uint32(off))
+		if fi < len(offs) {
+			offs[fi] = uint32(off)
 		}
 		fi++
 		j := bytes.IndexByte(line[off:], delim)
 		if j < 0 {
-			return fieldOff, fi
+			return fi
 		}
 		off += j + 1
 	}
 }
 
-// firstScan tokenizes every record, filling the positional map as it goes.
-func (p *Provider) firstScan(s *snapshot, mask []bool, fn plan.ScanFunc) error {
-	data := s.data
-	i := p.skipHeader(data)
-	delim := p.opts.delim()
-	row := make([]value.Value, p.nfields)
-	rec := value.Value{Kind: value.Record, L: row}
-	var recStart []int64
-	var fieldOff []uint32
-	for i < len(data) {
-		start := i
-		recStart = append(recStart, int64(start))
-		end := lineEnd(data, i)
-		var nf int
-		fieldOff, nf = tokenizeLine(data[start:end], delim, fieldOff, p.nfields)
-		if nf < p.nfields {
-			return fmt.Errorf("csvio: record at offset %d has %d fields, want %d", start, nf, p.nfields)
-		}
-		offs := fieldOff[len(fieldOff)-p.nfields:]
-		for fi := 0; fi < p.nfields; fi++ {
-			if mask != nil && !mask[fi] {
-				row[fi] = value.VNull
-				continue
-			}
-			beg := start + int(offs[fi])
-			fe := end
-			switch {
-			case fi+1 < p.nfields:
-				fe = start + int(offs[fi+1]) - 1
-			case nf > p.nfields:
-				// Extra trailing fields: the last mapped field ends at its
-				// own delimiter, not the line end.
-				fe = p.fieldEnd(data, beg)
-			}
-			v, err := p.parseField(fi, data[beg:fe])
-			if err != nil {
-				return err
-			}
-			row[fi] = v
-		}
-		i = end
-		complete := noComplete
-		if mask != nil {
-			recOffs := fieldOff[len(fieldOff)-p.nfields:]
-			complete = func() error {
-				for fi := 0; fi < p.nfields; fi++ {
-					if mask[fi] {
-						continue
-					}
-					beg := start + int(recOffs[fi])
-					v, err := p.parseField(fi, data[beg:p.fieldEnd(data, beg)])
-					if err != nil {
-						return err
-					}
-					row[fi] = v
-				}
-				return nil
-			}
-		}
-		if err := fn(rec, int64(start), complete); err != nil {
-			return err
-		}
-		i++ // past newline
-	}
-	p.publishMap(s, recStart, fieldOff)
-	return nil
-}
-
-// publishMap installs a positional map built against snapshot s. Under
-// concurrent first scans the first finisher wins; if the snapshot moved on
-// (refresh, rewrite) while this scan ran, its map describes stale bytes
-// and is discarded.
-func (p *Provider) publishMap(s *snapshot, recStart []int64, fieldOff []uint32) {
-	p.mu.Lock()
-	if p.snap.Load() == s && !s.mapped {
-		ns := &snapshot{
-			data:     s.data,
-			recStart: recStart,
-			fieldOff: fieldOff,
-			mapped:   true,
-			loaded:   true,
-			epoch:    s.epoch,
-			fp:       s.fp,
-		}
-		p.snap.Store(ns)
-	}
-	p.mu.Unlock()
-}
-
-// ScanPushdown implements plan.PushdownScanner: it streams only the records
-// passing pd, decoding each tested column straight from its raw bytes (no
-// value boxing) and skipping the rest of the line as soon as a test fails.
-// When the pushdown carries a string-equality conjunct, a memchr-style
-// substring search over the raw file rejects records that cannot contain
-// the literal before any field is even located (bulk-skipping the stretch
-// between matches). Surviving records decode the needed ∪ tested fields;
-// complete() parses the rest on demand, exactly like Scan.
-func (p *Provider) ScanPushdown(pd *expr.Pushdown, needed []value.Path, fn plan.ScanFunc) (int64, error) {
-	tests := pd.Tests()
-	if len(tests) == 0 {
-		return 0, p.Scan(needed, fn)
-	}
-	p.scans.Add(1)
-	p.pushScans.Add(1)
-	s, err := p.ensureLoaded()
-	if err != nil {
-		return 0, err
-	}
-	mask, err := p.neededIndexes(needed)
-	if err != nil {
-		return 0, err
-	}
-	eff := p.effectiveMask(mask, tests)
-	needle := expr.NewNeedleCursor(s.data, pd.EqNeedle())
-	var skipped int64
-	defer func() { p.pushSkipped.Add(skipped) }()
-	if !s.mapped {
-		return p.firstScanPushdown(s, tests, eff, needle, &skipped, fn)
-	}
-	row := make([]value.Value, p.nfields)
-	rec := value.Value{Kind: value.Record, L: row}
-	for ri := 0; ri < len(s.recStart); ri++ {
-		start := s.recStart[ri]
-		if needle != nil {
-			// Jump to the next record that can contain the equality
-			// literal, bulk-counting the records in between as skipped.
-			m := needle.Next(int(start))
-			if m == len(s.data) {
-				skipped += int64(len(s.recStart) - ri)
-				break
-			}
-			if rj := p.recordAt(s, int64(m)); rj > ri {
-				skipped += int64(rj - ri)
-				ri = rj
-				start = s.recStart[ri]
-			}
-		}
-		offs := s.fieldOff[ri*p.nfields : (ri+1)*p.nfields]
-		pass := true
-		for ti := range tests {
-			t := &tests[ti]
-			ok, err := p.testField(s.data, t, int(start)+int(offs[t.Slot]))
-			if err != nil {
-				return skipped, err
-			}
-			if !ok {
-				pass = false
-				break
-			}
-		}
-		if !pass {
-			skipped++
-			continue
-		}
-		if err := p.parseAt(s, ri, start, eff, row); err != nil {
-			return skipped, err
-		}
-		complete := noComplete
-		if eff != nil {
-			ri, start := ri, start
-			complete = func() error { return p.completeAt(s, ri, start, eff, row) }
-		}
-		if err := fn(rec, start, complete); err != nil {
-			return skipped, err
-		}
-	}
-	return skipped, nil
-}
-
-// recordAt returns the index of the record whose span contains byte offset
-// off (the last record starting at or before it). Requires the positional
-// map.
-func (p *Provider) recordAt(s *snapshot, off int64) int {
-	return sort.Search(len(s.recStart), func(i int) bool { return s.recStart[i] > off }) - 1
-}
-
-// effectiveMask unions the tested columns into the needed mask: survivors
-// have their tested fields materialized too (they are decoded regardless),
-// and complete() then parses exactly the complement. A nil mask (all
-// fields) stays nil.
-func (p *Provider) effectiveMask(mask []bool, tests []expr.ColTest) []bool {
-	if mask == nil {
-		return nil
-	}
-	eff := make([]bool, len(mask))
-	copy(eff, mask)
-	for i := range tests {
-		if s := tests[i].Slot; s < len(eff) {
-			eff[s] = true
-		}
-	}
-	return eff
-}
-
-// testField decodes one field's raw bytes as the test's column kind and
-// evaluates the fused kernel. An empty field is NULL and fails; a malformed
-// field is the same error a normal decode of that field would raise.
-func (p *Provider) testField(data []byte, t *expr.ColTest, beg int) (bool, error) {
-	b := data[beg:p.fieldEnd(data, beg)]
+// Test implements rawfile.Format: decode one field's raw bytes as the
+// test's column kind and evaluate the fused kernel. An empty field is NULL
+// and fails; a malformed field is the same error a normal decode of that
+// field would raise.
+func (f *format) Test(data []byte, t *expr.ColTest, beg int) (bool, error) {
+	b := data[beg:f.fieldEnd(data, beg)]
 	if len(b) == 0 {
 		return false, nil
 	}
@@ -615,342 +155,59 @@ func (p *Provider) testField(data []byte, t *expr.ColTest, beg int) (bool, error
 	case value.Int:
 		n, err := parseInt(b)
 		if err != nil {
-			return false, fmt.Errorf("csvio: field %q: %w", p.schema.Fields[t.Slot].Name, err)
+			return false, err
 		}
 		return t.TestInt(n), nil
 	case value.Float:
 		// string(b) does not heap-allocate here: ParseFloat's argument is
 		// non-escaping, so the conversion stays on the stack.
-		f, err := strconv.ParseFloat(string(b), 64)
+		v, err := strconv.ParseFloat(string(b), 64)
 		if err != nil {
-			return false, fmt.Errorf("csvio: field %q: %w", p.schema.Fields[t.Slot].Name, err)
+			return false, err
 		}
-		return t.TestFloat(f), nil
+		return t.TestFloat(v), nil
 	default:
 		return t.TestStrBytes(b), nil
 	}
 }
 
-// firstScanPushdown is the pushdown flavor of the first scan: every record
-// is still tokenized (the positional map needs every field offset), but a
-// record failing the needle filter or a pushed test skips all field parsing
-// and boxing.
-func (p *Provider) firstScanPushdown(s *snapshot, tests []expr.ColTest, eff []bool, needle *expr.NeedleCursor, skipped *int64, fn plan.ScanFunc) (int64, error) {
-	data := s.data
-	i := p.skipHeader(data)
-	delim := p.opts.delim()
-	row := make([]value.Value, p.nfields)
-	rec := value.Value{Kind: value.Record, L: row}
-	var recStart []int64
-	var fieldOff []uint32
-	for i < len(data) {
-		start := i
-		recStart = append(recStart, int64(start))
-		end := lineEnd(data, i)
-		var nf int
-		fieldOff, nf = tokenizeLine(data[start:end], delim, fieldOff, p.nfields)
-		if nf < p.nfields {
-			return *skipped, fmt.Errorf("csvio: record at offset %d has %d fields, want %d", start, nf, p.nfields)
-		}
-		i = end
-		if needle != nil && needle.Next(start) >= i {
-			// No occurrence of the equality literal within the record: no
-			// field can equal it, so skip without decoding any test column.
-			*skipped++
-			i++
-			continue
-		}
-		offs := fieldOff[len(fieldOff)-p.nfields:]
-		pass := true
-		for ti := range tests {
-			t := &tests[ti]
-			ok, err := p.testField(data, t, start+int(offs[t.Slot]))
-			if err != nil {
-				return *skipped, err
-			}
-			if !ok {
-				pass = false
-				break
-			}
-		}
-		if !pass {
-			*skipped++
-			i++
-			continue
-		}
-		for fi := 0; fi < p.nfields; fi++ {
-			if eff != nil && !eff[fi] {
-				row[fi] = value.VNull
-				continue
-			}
-			beg := start + int(offs[fi])
-			v, err := p.parseField(fi, data[beg:p.fieldEnd(data, beg)])
-			if err != nil {
-				return *skipped, err
-			}
-			row[fi] = v
-		}
-		complete := noComplete
-		if eff != nil {
-			complete = func() error {
-				for fi := 0; fi < p.nfields; fi++ {
-					if eff[fi] {
-						continue
-					}
-					beg := start + int(offs[fi])
-					v, err := p.parseField(fi, data[beg:p.fieldEnd(data, beg)])
-					if err != nil {
-						return err
-					}
-					row[fi] = v
-				}
-				return nil
-			}
-		}
-		if err := fn(rec, int64(start), complete); err != nil {
-			return *skipped, err
-		}
-		i++
-	}
-	p.publishMap(s, recStart, fieldOff)
-	return *skipped, nil
-}
-
-// parseAt parses record ri (starting at byte offset start) using the
-// positional map, materializing only masked fields.
-func (p *Provider) parseAt(s *snapshot, ri int, start int64, mask []bool, row []value.Value) error {
-	offs := s.fieldOff[ri*p.nfields : (ri+1)*p.nfields]
-	for fi := 0; fi < p.nfields; fi++ {
-		if mask != nil && !mask[fi] {
-			row[fi] = value.VNull
-			continue
-		}
-		beg := int(start) + int(offs[fi])
-		end := p.fieldEnd(s.data, beg)
-		v, err := p.parseField(fi, s.data[beg:end])
-		if err != nil {
-			return err
-		}
-		row[fi] = v
-	}
-	return nil
-}
-
-func (p *Provider) fieldEnd(data []byte, beg int) int {
-	delim := p.opts.delim()
+func (f *format) fieldEnd(data []byte, beg int) int {
 	i := beg
-	for i < len(data) && data[i] != delim && data[i] != '\n' {
+	for i < len(data) && data[i] != f.delim && data[i] != '\n' {
 		i++
 	}
 	return i
 }
 
-func (p *Provider) parseField(fi int, b []byte) (value.Value, error) {
+func (f *format) parseField(fi int, b []byte, dst *value.Value) error {
 	if len(b) == 0 {
-		return value.VNull, nil
+		*dst = value.VNull
+		return nil
 	}
-	switch p.schema.Fields[fi].Type.Kind {
+	switch f.schema.Fields[fi].Type.Kind {
 	case value.Int:
 		n, err := parseInt(b)
 		if err != nil {
-			return value.VNull, fmt.Errorf("csvio: field %q: %w", p.schema.Fields[fi].Name, err)
+			return fmt.Errorf("csvio: field %q: %w", f.schema.Fields[fi].Name, err)
 		}
-		return value.VInt(n), nil
+		*dst = value.VInt(n)
 	case value.Float:
-		f, err := strconv.ParseFloat(string(b), 64)
+		v, err := strconv.ParseFloat(string(b), 64)
 		if err != nil {
-			return value.VNull, fmt.Errorf("csvio: field %q: %w", p.schema.Fields[fi].Name, err)
+			return fmt.Errorf("csvio: field %q: %w", f.schema.Fields[fi].Name, err)
 		}
-		return value.VFloat(f), nil
+		*dst = value.VFloat(v)
 	case value.Bool:
 		switch string(b) {
 		case "true", "1", "t":
-			return value.VBool(true), nil
+			*dst = value.VBool(true)
 		case "false", "0", "f":
-			return value.VBool(false), nil
+			*dst = value.VBool(false)
+		default:
+			return fmt.Errorf("csvio: field %q: bad bool %q", f.schema.Fields[fi].Name, b)
 		}
-		return value.VNull, fmt.Errorf("csvio: field %q: bad bool %q", p.schema.Fields[fi].Name, b)
 	default:
-		return value.VString(string(b)), nil
-	}
-}
-
-// ScanOffsets implements plan.ScanProvider: random access through the
-// positional map, the access path of lazy (offsets-only) caches.
-func (p *Provider) ScanOffsets(offsets []int64, needed []value.Path, fn plan.ScanFunc) error {
-	s, err := p.ensureLoaded()
-	if err != nil {
-		return err
-	}
-	return p.scanOffsets(s, offsets, needed, fn)
-}
-
-// ScanOffsetsAt implements plan.EpochScanner: ScanOffsets pinned to a file
-// epoch. If the file was rewritten since the offsets were recorded, the
-// positions are meaningless in the new bytes — fail with ErrEpochChanged
-// instead of dereferencing them.
-func (p *Provider) ScanOffsetsAt(epoch uint64, offsets []int64, needed []value.Path, fn plan.ScanFunc) error {
-	s, err := p.ensureLoaded()
-	if err != nil {
-		return err
-	}
-	if s.epoch != epoch {
-		return plan.ErrEpochChanged
-	}
-	return p.scanOffsets(s, offsets, needed, fn)
-}
-
-func (p *Provider) scanOffsets(s *snapshot, offsets []int64, needed []value.Path, fn plan.ScanFunc) error {
-	mask, err := p.neededIndexes(needed)
-	if err != nil {
-		return err
-	}
-	row := make([]value.Value, p.nfields)
-	rec := value.Value{Kind: value.Record, L: row}
-	for _, off := range offsets {
-		if s.mapped {
-			ri := sort.Search(len(s.recStart), func(i int) bool { return s.recStart[i] >= off })
-			if ri < len(s.recStart) && s.recStart[ri] == off {
-				if err := p.parseAt(s, ri, off, mask, row); err != nil {
-					return err
-				}
-				complete := noComplete
-				if mask != nil {
-					ri, off := ri, off
-					complete = func() error { return p.completeAt(s, ri, off, mask, row) }
-				}
-				if err := fn(rec, off, complete); err != nil {
-					return err
-				}
-				continue
-			}
-		}
-		// No positional map entry: tokenize the single record in place,
-		// parsing every field so the complete callback can be a no-op.
-		if err := p.parseLineAt(s.data, off, nil, row); err != nil {
-			return err
-		}
-		if err := fn(rec, off, noComplete); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScanFrom implements plan.RefreshableProvider: stream the records whose
-// byte offset is >= from, in file order. The cache manager uses it to scan
-// only the appended tail when extending an entry; from is a previous
-// covered length, so it always lands on a record boundary.
-func (p *Provider) ScanFrom(from int64, needed []value.Path, fn plan.ScanFunc) error {
-	s, err := p.ensureLoaded()
-	if err != nil {
-		return err
-	}
-	mask, err := p.neededIndexes(needed)
-	if err != nil {
-		return err
-	}
-	row := make([]value.Value, p.nfields)
-	rec := value.Value{Kind: value.Record, L: row}
-	if s.mapped {
-		lo := sort.Search(len(s.recStart), func(i int) bool { return s.recStart[i] >= from })
-		for ri := lo; ri < len(s.recStart); ri++ {
-			start := s.recStart[ri]
-			if err := p.parseAt(s, ri, start, mask, row); err != nil {
-				return err
-			}
-			complete := noComplete
-			if mask != nil {
-				ri, start := ri, start
-				complete = func() error { return p.completeAt(s, ri, start, mask, row) }
-			}
-			if err := fn(rec, start, complete); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	data := s.data
-	i := int(from)
-	if h := p.skipHeader(data); i < h {
-		i = h
-	}
-	delim := p.opts.delim()
-	var offsBuf []uint32
-	for i < len(data) {
-		start := i
-		end := lineEnd(data, i)
-		var nf int
-		offsBuf, nf = tokenizeLine(data[start:end], delim, offsBuf[:0], p.nfields)
-		if nf < p.nfields {
-			return fmt.Errorf("csvio: record at offset %d has %d fields, want %d", start, nf, p.nfields)
-		}
-		for fi := 0; fi < p.nfields; fi++ {
-			if mask != nil && !mask[fi] {
-				row[fi] = value.VNull
-				continue
-			}
-			beg := start + int(offsBuf[fi])
-			v, err := p.parseField(fi, data[beg:p.fieldEnd(data, beg)])
-			if err != nil {
-				return err
-			}
-			row[fi] = v
-		}
-		complete := noComplete
-		if mask != nil {
-			offs := append([]uint32(nil), offsBuf...)
-			complete = func() error {
-				for fi := 0; fi < p.nfields; fi++ {
-					if mask[fi] {
-						continue
-					}
-					beg := start + int(offs[fi])
-					v, err := p.parseField(fi, data[beg:p.fieldEnd(data, beg)])
-					if err != nil {
-						return err
-					}
-					row[fi] = v
-				}
-				return nil
-			}
-		}
-		if err := fn(rec, int64(start), complete); err != nil {
-			return err
-		}
-		i = end + 1
-	}
-	return nil
-}
-
-func (p *Provider) parseLineAt(data []byte, off int64, mask []bool, row []value.Value) error {
-	if off < 0 || off >= int64(len(data)) {
-		return fmt.Errorf("csvio: offset %d out of range", off)
-	}
-	i := int(off)
-	delim := p.opts.delim()
-	fi := 0
-	fieldBeg := i
-	for ; i <= len(data) && fi < p.nfields; i++ {
-		if i == len(data) || data[i] == delim || data[i] == '\n' {
-			if mask == nil || mask[fi] {
-				v, err := p.parseField(fi, data[fieldBeg:i])
-				if err != nil {
-					return err
-				}
-				row[fi] = v
-			} else {
-				row[fi] = value.VNull
-			}
-			fi++
-			fieldBeg = i + 1
-			if i == len(data) || data[i] == '\n' {
-				break
-			}
-		}
-	}
-	if fi < p.nfields {
-		return fmt.Errorf("csvio: record at offset %d has %d fields, want %d", off, fi, p.nfields)
+		*dst = value.VString(string(b))
 	}
 	return nil
 }

@@ -287,3 +287,25 @@ func TestExtraTrailingFields(t *testing.T) {
 		t.Fatalf("unterminated record rows = %v", rows2)
 	}
 }
+
+// Offsets before the first byte or at the end of the data are out of range,
+// with or without the positional map, and fail instead of panicking.
+func TestScanOffsetsOutOfRangeFails(t *testing.T) {
+	p, err := New(writeFile(t, testData), testSchema(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []int64{-1, int64(len(testData))}
+	check := func(phase string) {
+		t.Helper()
+		for _, off := range bad {
+			err := p.ScanOffsets([]int64{off}, nil, func(value.Value, int64, func() error) error { return nil })
+			if err == nil {
+				t.Errorf("%s: ScanOffsets(%d) succeeded, want an out-of-range error", phase, off)
+			}
+		}
+	}
+	check("before the positional map")
+	collect(t, p, nil)
+	check("after the positional map")
+}

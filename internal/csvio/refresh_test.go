@@ -176,3 +176,45 @@ func TestRefreshTornTailWaitsForNewline(t *testing.T) {
 		t.Fatalf("rows after completed append = %v", rows)
 	}
 }
+
+// An empty file with a header declared gets its header and first rows in
+// one append. The extended positional map must start past the header, the
+// same place a fresh provider's first scan starts, so neither Scan nor the
+// tail scan serves the header as a data row.
+func TestRefreshAppendToEmptyFileSkipsHeader(t *testing.T) {
+	schema := value.TRecord(value.F("a", value.TString), value.F("b", value.TString))
+	opts := Options{HasHeader: true}
+	path := writeFile(t, "")
+	p, err := New(path, schema, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, _ := collect(t, p, nil); len(rows) != 0 {
+		t.Fatalf("rows of empty file = %v", rows)
+	}
+
+	appendFile(t, path, "a|b\nx|y\n")
+	if rep, err := p.Refresh(); err != nil || rep.Status != plan.FileAppended {
+		t.Fatalf("Refresh = %+v, %v; want FileAppended", rep, err)
+	}
+	want := [][]value.Value{{value.VString("x"), value.VString("y")}}
+	if rows, _ := collect(t, p, nil); !reflect.DeepEqual(rows, want) {
+		t.Fatalf("Scan after append = %v, want %v", rows, want)
+	}
+	var tail [][]value.Value
+	err = p.ScanFrom(0, nil, func(rec value.Value, _ int64, _ func() error) error {
+		tail = append(tail, append([]value.Value(nil), rec.L...))
+		return nil
+	})
+	if err != nil || !reflect.DeepEqual(tail, want) {
+		t.Fatalf("ScanFrom(0) after append = %v, %v; want %v", tail, err, want)
+	}
+
+	fresh, err := New(path, schema, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, _ := collect(t, fresh, nil); !reflect.DeepEqual(rows, want) {
+		t.Fatalf("fresh Scan = %v, want %v", rows, want)
+	}
+}

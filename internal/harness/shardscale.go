@@ -80,7 +80,7 @@ func (r *Runner) shardScale(paths *datagen.TPCHPaths) error {
 		qps, p99, rawParses, ferr := func() (float64, float64, int64, error) {
 			// Warm through the router: every entry builds once, on its
 			// owning shard.
-			warm, err := client.DialRouter(f.addrs, client.Options{})
+			warm, err := client.DialRouterOpts(f.addrs, client.RouterOptions{})
 			if err != nil {
 				return 0, 0, 0, err
 			}
@@ -142,7 +142,7 @@ func (r *Runner) shardColdFlight(paths *datagen.TPCHPaths) error {
 	defer f.Close()
 	routers := make([]*client.Router, w)
 	for i := range routers {
-		rt, err := client.DialRouter(f.addrs, client.Options{RequestTimeout: 5 * time.Minute})
+		rt, err := client.DialRouterOpts(f.addrs, client.RouterOptions{Options: client.Options{RequestTimeout: 5 * time.Minute}})
 		if err != nil {
 			return err
 		}
@@ -289,7 +289,7 @@ func (f *shardFleet) Close() {
 func routerReplay(addrs, queries []string, total, conc int) (qps, p99ms float64, err error) {
 	rts := make([]*client.Router, conc)
 	for i := range rts {
-		rt, err := client.DialRouter(addrs, client.Options{})
+		rt, err := client.DialRouterOpts(addrs, client.RouterOptions{})
 		if err != nil {
 			for _, r := range rts[:i] {
 				r.Close()

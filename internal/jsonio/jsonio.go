@@ -1,10 +1,13 @@
 // Package jsonio is the JSON input plugin: a schema-guided, hand-rolled
-// parser over newline-delimited JSON files. Like the CSV plugin it builds a
-// positional map on the first scan — the byte offset of each record and of
-// each top-level field's value within it — so later scans parse only the
-// fields a query needs (§3.1 of the paper). Parsing JSON is substantially
-// more expensive than CSV, which is precisely the cost heterogeneity
-// ReCache's policies react to.
+// parser over newline-delimited JSON files. The shared raw-file core
+// (internal/rawfile) owns loading, freshness, the positional map — here the
+// offset of each top-level field's value — and every scan driver; this
+// package owns only what is JSON: schema validation in New, the top-level
+// object parser that maps and decodes a record in one pass, the value
+// decoders, pushed-test evaluation over raw values, the quoted-literal and
+// escape needles, and WriteRecord. Parsing JSON is substantially more
+// expensive than CSV, which is precisely the cost heterogeneity ReCache's
+// policies react to.
 //
 // Missing object keys are normalized at ingestion: absent leaves become
 // nulls, absent records become records of nulls, absent lists become empty
@@ -15,63 +18,16 @@ package jsonio
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"recache/internal/expr"
-	"recache/internal/freshness"
-	"recache/internal/plan"
+	"recache/internal/rawfile"
 	"recache/internal/value"
 )
 
-// absentOff marks a top-level field with no value in a record.
-const absentOff = ^uint32(0)
-
-// snapshot is one immutable view of the file (see csvio's twin for the
-// full rationale): ingested bytes, positional map, epoch, and the
-// fingerprint that detects divergence from disk. Append-extensions may
-// grow the backing arrays past the published lengths in place; readers
-// slice by their own snapshot's lengths and never see the new bytes.
-type snapshot struct {
-	data     []byte
-	recStart []int64
-	fieldOff []uint32 // nrecs × ntop: offset of field value relative to recStart
-	mapped   bool     // recStart/fieldOff are populated
-	loaded   bool     // data was read from disk (false after a rewrite reset)
-	epoch    uint64   // bumps on every rewrite; byte offsets are per-epoch
-	fp       freshness.Fingerprint
-}
-
-// Provider implements plan.ScanProvider for one NDJSON file.
-//
-// Providers are safe for concurrent scans: all shared state lives in an
-// immutable snapshot behind an atomic pointer; p.mu serializes the writers
-// (initial load, positional-map publication, Refresh). Concurrent first
-// scans each parse independently (the per-scan row buffers are local); the
-// first to finish publishes the map.
-type Provider struct {
-	path   string
-	schema *value.Type
-	size   atomic.Int64
-
-	mu   sync.Mutex // serializes snapshot replacement (load, map, refresh)
-	snap atomic.Pointer[snapshot]
-
-	// scans counts full-file Scan calls (not ScanOffsets replays or tail
-	// scans); the work-sharing bench and tests use it to assert how many
-	// raw parses a burst of concurrent misses actually paid for. pushScans
-	// counts the subset that evaluated a pushdown below parsing, and
-	// pushSkipped the records those scans rejected before decoding
-	// anything else.
-	scans       atomic.Int64
-	pushScans   atomic.Int64
-	pushSkipped atomic.Int64
-
-	ntop int
-}
+// Provider is the shared raw-file provider (see internal/rawfile) driving
+// the NDJSON format.
+type Provider = rawfile.Provider
 
 // New creates a provider over path with an explicit (possibly nested)
 // record schema.
@@ -82,504 +38,51 @@ func New(path string, schema *value.Type) (*Provider, error) {
 	if _, err := value.LeafColumns(schema); err != nil {
 		return nil, fmt.Errorf("jsonio: %w", err)
 	}
-	st, err := os.Stat(path)
+	return rawfile.New("jsonio", path, schema, format{schema: schema})
+}
+
+// format implements rawfile.Format for newline-delimited JSON objects; a
+// record's field offsets point at its top-level values.
+type format struct{ schema *value.Type }
+
+// Skip implements rawfile.Format: records start at the next non-blank byte.
+func (f format) Skip(data []byte, from int) int { return skipWS(data, from) }
+
+// Record implements rawfile.Format through parseTopObject, which decodes
+// the masked values inline while mapping the object: mapping first and
+// decoding afterwards would walk each needed value twice.
+func (f format) Record(data []byte, start int, mask []bool, row []value.Value, offs []uint32) (int, error) {
+	return f.parseTopObject(data, start, mask, row, offs)
+}
+
+// Field implements rawfile.Format.
+func (f format) Field(data []byte, fi, beg int, dst *value.Value) error {
+	v, _, err := parseValue(data, beg, f.schema.Fields[fi].Type)
 	if err != nil {
-		return nil, fmt.Errorf("jsonio: %w", err)
+		return fmt.Errorf("jsonio: field %q: %w", f.schema.Fields[fi].Name, err)
 	}
-	p := &Provider{path: path, schema: schema, ntop: len(schema.Fields)}
-	p.size.Store(st.Size())
-	return p, nil
-}
-
-// Schema implements plan.ScanProvider.
-func (p *Provider) Schema() *value.Type { return p.schema }
-
-// NumRecords implements plan.ScanProvider: -1 before the first scan.
-func (p *Provider) NumRecords() int {
-	s := p.snap.Load()
-	if s == nil || !s.mapped {
-		return -1
-	}
-	return len(s.recStart)
-}
-
-// SizeBytes implements plan.ScanProvider.
-func (p *Provider) SizeBytes() int64 { return p.size.Load() }
-
-// Scans returns the number of full-file scans performed so far.
-func (p *Provider) Scans() int64 { return p.scans.Load() }
-
-// PushdownStats reports how many full-file scans evaluated a pushdown below
-// parsing and how many records those scans skipped before full decode.
-func (p *Provider) PushdownStats() (scans, skipped int64) {
-	return p.pushScans.Load(), p.pushSkipped.Load()
-}
-
-// ensureLoaded publishes the file contents exactly once per epoch
-// (double-checked) and returns the current snapshot.
-func (p *Provider) ensureLoaded() (*snapshot, error) {
-	if s := p.snap.Load(); s != nil && s.loaded {
-		return s, nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if s := p.snap.Load(); s != nil && s.loaded {
-		return s, nil
-	}
-	st, err := os.Stat(p.path)
-	if err != nil {
-		return nil, fmt.Errorf("jsonio: %w", err)
-	}
-	b, err := os.ReadFile(p.path)
-	if err != nil {
-		return nil, fmt.Errorf("jsonio: %w", err)
-	}
-	epoch := uint64(1)
-	if s := p.snap.Load(); s != nil {
-		epoch = s.epoch
-	}
-	ns := &snapshot{
-		data:   b,
-		loaded: true,
-		epoch:  epoch,
-		fp:     freshness.Capture(b, st.ModTime().UnixNano()),
-	}
-	p.size.Store(int64(len(b)))
-	p.snap.Store(ns)
-	return ns, nil
-}
-
-// Version implements plan.RefreshableProvider (see csvio.Provider.Version).
-func (p *Provider) Version() (uint64, int64) {
-	s, err := p.ensureLoaded()
-	if err != nil {
-		if s := p.snap.Load(); s != nil {
-			return s.epoch, 0
-		}
-		return 0, 0
-	}
-	return s.epoch, int64(len(s.data))
-}
-
-// Refresh implements plan.RefreshableProvider: re-check the backing file
-// against the snapshot's fingerprint and reconcile. Appends extend the
-// snapshot in place (same epoch); rewrites reset the provider to an
-// unloaded snapshot under a new epoch, so the next scan reloads lazily.
-func (p *Provider) Refresh() (plan.FreshnessReport, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := p.snap.Load()
-	if s == nil || !s.loaded {
-		var ep uint64
-		if s != nil {
-			ep = s.epoch
-		}
-		return plan.FreshnessReport{Status: plan.FileUnchanged, Epoch: ep}, nil
-	}
-	status, _ := s.fp.Check(p.path)
-	switch status {
-	case freshness.Unchanged:
-		return plan.FreshnessReport{Status: plan.FileUnchanged, Epoch: s.epoch, Covered: int64(len(s.data))}, nil
-	case freshness.Appended:
-		return p.extendLocked(s)
-	default:
-		return p.resetLocked(s), nil
-	}
-}
-
-// resetLocked replaces the snapshot with an unloaded one under a new epoch.
-func (p *Provider) resetLocked(s *snapshot) plan.FreshnessReport {
-	ns := &snapshot{epoch: s.epoch + 1}
-	p.snap.Store(ns)
-	if st, err := os.Stat(p.path); err == nil {
-		p.size.Store(st.Size())
-	}
-	return plan.FreshnessReport{Status: plan.FileRewritten, Epoch: ns.epoch}
-}
-
-// extendLocked grows the snapshot over the file's new tail: read only the
-// bytes past the covered prefix, trim at the last newline (a torn trailing
-// line stays uncovered until it completes), parse the new complete objects
-// onto the positional map, and publish a longer snapshot under the same
-// epoch. Falls back to a rewrite reset whenever the extension cannot be
-// proven equivalent to a fresh full scan.
-func (p *Provider) extendLocked(s *snapshot) (plan.FreshnessReport, error) {
-	old := len(s.data)
-	if old > 0 && s.data[old-1] != '\n' {
-		// The covered prefix ends mid-record: new bytes change the meaning
-		// of the last record already served.
-		return p.resetLocked(s), nil
-	}
-	f, err := os.Open(p.path)
-	if err != nil {
-		return p.resetLocked(s), nil
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return p.resetLocked(s), nil
-	}
-	sz := st.Size()
-	if sz < int64(old) {
-		return p.resetLocked(s), nil
-	}
-	if sz == int64(old) {
-		return plan.FreshnessReport{Status: plan.FileUnchanged, Epoch: s.epoch, Covered: int64(old)}, nil
-	}
-	tail := make([]byte, sz-int64(old))
-	if _, err := f.ReadAt(tail, int64(old)); err != nil {
-		return p.resetLocked(s), nil
-	}
-	cut := bytes.LastIndexByte(tail, '\n')
-	if cut < 0 {
-		// The appended bytes hold no complete record yet.
-		return plan.FreshnessReport{Status: plan.FileUnchanged, Epoch: s.epoch, Covered: int64(old)}, nil
-	}
-	tail = tail[:cut+1]
-
-	// Appending may write into spare capacity past the published lengths
-	// (invisible to snapshot readers) or reallocate; both are safe.
-	data := append(s.data, tail...)
-	ns := &snapshot{
-		data:   data,
-		loaded: true,
-		epoch:  s.epoch,
-		fp:     freshness.Capture(data, st.ModTime().UnixNano()),
-	}
-	if s.mapped {
-		recStart, fieldOff := s.recStart, s.fieldOff
-		row := make([]value.Value, p.ntop)
-		offs := make([]uint32, p.ntop)
-		noneMask := make([]bool, p.ntop) // map offsets only, materialize nothing
-		i := skipWS(data, old)
-		for i < len(data) {
-			start := i
-			end, err := p.parseTopObject(data, i, noneMask, row, offs, int64(start))
-			if err != nil {
-				// Malformed appended record: the extension would poison the
-				// map, so invalidate wholesale instead.
-				return p.resetLocked(s), nil
-			}
-			recStart = append(recStart, int64(start))
-			fieldOff = append(fieldOff, offs...)
-			i = skipWS(data, end)
-		}
-		ns.recStart, ns.fieldOff, ns.mapped = recStart, fieldOff, true
-	}
-	p.size.Store(sz)
-	p.snap.Store(ns)
-	return plan.FreshnessReport{
-		Status:    plan.FileAppended,
-		Epoch:     ns.epoch,
-		Covered:   int64(len(data)),
-		TailBytes: int64(len(tail)),
-	}, nil
-}
-
-// neededMask marks the top-level fields covering the needed paths; nil
-// means all fields.
-func (p *Provider) neededMask(needed []value.Path) ([]bool, error) {
-	if needed == nil {
-		return nil, nil
-	}
-	mask := make([]bool, p.ntop)
-	for _, np := range needed {
-		if len(np) == 0 {
-			continue
-		}
-		i, _ := p.schema.FieldIndex(np[0])
-		if i < 0 {
-			// Dotted flat name (post-unnest reference): match its head.
-			i, _ = p.schema.FieldIndex(np.String())
-			if i < 0 {
-				return nil, fmt.Errorf("jsonio: unknown field %q", np)
-			}
-		}
-		mask[i] = true
-	}
-	return mask, nil
-}
-
-// noComplete is the completion callback for already-complete records.
-func noComplete() error { return nil }
-
-// Scan implements plan.ScanProvider.
-func (p *Provider) Scan(needed []value.Path, fn plan.ScanFunc) error {
-	p.scans.Add(1)
-	s, err := p.ensureLoaded()
-	if err != nil {
-		return err
-	}
-	mask, err := p.neededMask(needed)
-	if err != nil {
-		return err
-	}
-	if !s.mapped {
-		return p.firstScan(s, mask, fn)
-	}
-	row := make([]value.Value, p.ntop)
-	rec := value.Value{Kind: value.Record, L: row}
-	for ri, start := range s.recStart {
-		if err := p.parseMapped(s, ri, start, mask, row); err != nil {
-			return err
-		}
-		complete := noComplete
-		if mask != nil {
-			ri, start := ri, start
-			complete = func() error {
-				return p.completeMapped(s, ri, start, mask, row)
-			}
-		}
-		if err := fn(rec, start, complete); err != nil {
-			return err
-		}
-	}
+	*dst = v
 	return nil
 }
 
-// completeMapped parses the top-level fields mask skipped, via the
-// positional map.
-func (p *Provider) completeMapped(s *snapshot, ri int, start int64, mask []bool, row []value.Value) error {
-	offs := s.fieldOff[ri*p.ntop : (ri+1)*p.ntop]
-	for fi := 0; fi < p.ntop; fi++ {
-		if mask[fi] {
-			continue
-		}
-		if offs[fi] == absentOff {
-			row[fi] = nullFor(p.schema.Fields[fi].Type)
-			continue
-		}
-		v, _, err := parseValue(s.data, int(start)+int(offs[fi]), p.schema.Fields[fi].Type)
-		if err != nil {
-			return err
-		}
-		row[fi] = v
-	}
-	return nil
-}
-
-// firstScan parses every record fully enough to map all top-level fields,
-// materializing masked (or all) fields, and records the positional map.
-func (p *Provider) firstScan(s *snapshot, mask []bool, fn plan.ScanFunc) error {
-	data := s.data
-	i := skipWS(data, 0)
-	row := make([]value.Value, p.ntop)
-	rec := value.Value{Kind: value.Record, L: row}
-	offs := make([]uint32, p.ntop)
-	var recStart []int64
-	var fieldOff []uint32
-	for i < len(data) {
-		start := i
-		end, err := p.parseTopObject(data, i, mask, row, offs, int64(start))
-		if err != nil {
-			return err
-		}
-		recStart = append(recStart, int64(start))
-		fieldOff = append(fieldOff, offs...)
-		complete := noComplete
-		if mask != nil {
-			complete = func() error {
-				for fi := 0; fi < p.ntop; fi++ {
-					if mask[fi] {
-						continue
-					}
-					if offs[fi] == absentOff {
-						row[fi] = nullFor(p.schema.Fields[fi].Type)
-						continue
-					}
-					v, _, err := parseValue(data, start+int(offs[fi]), p.schema.Fields[fi].Type)
-					if err != nil {
-						return err
-					}
-					row[fi] = v
-				}
-				return nil
-			}
-		}
-		if err := fn(rec, int64(start), complete); err != nil {
-			return err
-		}
-		i = skipWS(data, end)
-	}
-	p.publishMap(s, recStart, fieldOff)
-	return nil
-}
-
-// publishMap installs a positional map built against snapshot s. Under
-// concurrent first scans the first finisher wins; if the snapshot moved on
-// (refresh, rewrite) while this scan ran, its map describes stale bytes
-// and is discarded.
-func (p *Provider) publishMap(s *snapshot, recStart []int64, fieldOff []uint32) {
-	p.mu.Lock()
-	if p.snap.Load() == s && !s.mapped {
-		ns := &snapshot{
-			data:     s.data,
-			recStart: recStart,
-			fieldOff: fieldOff,
-			mapped:   true,
-			loaded:   true,
-			epoch:    s.epoch,
-			fp:       s.fp,
-		}
-		p.snap.Store(ns)
-	}
-	p.mu.Unlock()
-}
-
-// parseMapped parses record ri using the positional map: only masked
-// top-level fields are parsed, each by a direct jump to its value offset.
-func (p *Provider) parseMapped(s *snapshot, ri int, start int64, mask []bool, row []value.Value) error {
-	offs := s.fieldOff[ri*p.ntop : (ri+1)*p.ntop]
-	for fi := 0; fi < p.ntop; fi++ {
-		if mask != nil && !mask[fi] {
-			row[fi] = value.VNull
-			continue
-		}
-		if offs[fi] == absentOff {
-			row[fi] = nullFor(p.schema.Fields[fi].Type)
-			continue
-		}
-		v, _, err := parseValue(s.data, int(start)+int(offs[fi]), p.schema.Fields[fi].Type)
-		if err != nil {
-			return fmt.Errorf("jsonio: record %d field %q: %w", ri, p.schema.Fields[fi].Name, err)
-		}
-		row[fi] = v
-	}
-	return nil
-}
-
-// ScanPushdown implements plan.PushdownScanner: it streams only the records
-// passing pd, jumping to each tested top-level field's value offset through
-// the positional map and decoding it typed (no value boxing); an absent key
-// or a null literal fails the test — the same SQL semantics the row filter
-// applies — and a failing record skips the entire object. When the pushdown
-// carries a string-equality conjunct, a memchr-style substring search for
-// the quoted literal rejects records that cannot contain it before any
-// field offset is consulted; records containing a backslash stay candidates
-// regardless, because an escaped string (\uXXXX and friends) can denote the
-// literal without containing its bytes. Surviving records decode the
-// needed ∪ tested fields, with complete() parsing the rest.
-func (p *Provider) ScanPushdown(pd *expr.Pushdown, needed []value.Path, fn plan.ScanFunc) (int64, error) {
-	tests := pd.Tests()
-	if len(tests) == 0 {
-		return 0, p.Scan(needed, fn)
-	}
-	p.scans.Add(1)
-	p.pushScans.Add(1)
-	s, err := p.ensureLoaded()
-	if err != nil {
-		return 0, err
-	}
-	mask, err := p.neededMask(needed)
-	if err != nil {
-		return 0, err
-	}
-	eff := p.effectiveMask(mask, tests)
-	needle, escape := p.needleCursors(s.data, pd)
-	var skipped int64
-	defer func() { p.pushSkipped.Add(skipped) }()
-	if !s.mapped {
-		return p.firstScanPushdown(s, tests, eff, needle, escape, &skipped, fn)
-	}
-	row := make([]value.Value, p.ntop)
-	rec := value.Value{Kind: value.Record, L: row}
-	for ri := 0; ri < len(s.recStart); ri++ {
-		start := s.recStart[ri]
-		if needle != nil {
-			// Jump to the next record that can contain the quoted literal
-			// (or any escape), bulk-counting the stretch in between.
-			m := needle.Next(int(start))
-			if e := escape.Next(int(start)); e < m {
-				m = e
-			}
-			if m == len(s.data) {
-				skipped += int64(len(s.recStart) - ri)
-				break
-			}
-			if rj := p.recordAt(s, int64(m)); rj > ri {
-				skipped += int64(rj - ri)
-				ri = rj
-				start = s.recStart[ri]
-			}
-		}
-		offs := s.fieldOff[ri*p.ntop : (ri+1)*p.ntop]
-		pass := true
-		for ti := range tests {
-			t := &tests[ti]
-			if offs[t.Slot] == absentOff {
-				pass = false // absent key ⇒ NULL ⇒ fails every comparison
-				break
-			}
-			ok, err := p.testValue(s.data, t, int(start)+int(offs[t.Slot]))
-			if err != nil {
-				return skipped, fmt.Errorf("jsonio: record %d field %q: %w", ri, p.schema.Fields[t.Slot].Name, err)
-			}
-			if !ok {
-				pass = false
-				break
-			}
-		}
-		if !pass {
-			skipped++
-			continue
-		}
-		if err := p.parseMapped(s, ri, start, eff, row); err != nil {
-			return skipped, err
-		}
-		complete := noComplete
-		if eff != nil {
-			ri, start := ri, start
-			complete = func() error { return p.completeMapped(s, ri, start, eff, row) }
-		}
-		if err := fn(rec, start, complete); err != nil {
-			return skipped, err
-		}
-	}
-	return skipped, nil
-}
-
-// needleCursors builds the candidate-filter cursors for a pushdown's
-// string-equality literal: one searching for the literal in its quoted raw
-// form, one for backslashes (any escape makes a record a candidate, since
-// escaped text can denote the literal without containing its bytes). Both
-// are nil when the pushdown has no equality literal.
-func (p *Provider) needleCursors(data []byte, pd *expr.Pushdown) (needle, escape *expr.NeedleCursor) {
+// Needles implements rawfile.Format: one cursor searches for the equality
+// literal in its quoted raw form, one for backslashes — any escape makes a
+// record a candidate, since escaped text (\uXXXX and friends) can denote
+// the literal without containing its bytes.
+func (f format) Needles(data []byte, pd *expr.Pushdown) []*expr.NeedleCursor {
 	lit := pd.EqNeedle()
 	if lit == nil {
-		return nil, nil
+		return nil
 	}
 	quoted := make([]byte, 0, len(lit)+2)
 	quoted = append(append(append(quoted, '"'), lit...), '"')
-	return expr.NewNeedleCursor(data, quoted), expr.NewNeedleCursor(data, []byte{'\\'})
+	return []*expr.NeedleCursor{expr.NewNeedleCursor(data, quoted), expr.NewNeedleCursor(data, []byte{'\\'})}
 }
 
-// recordAt returns the index of the record whose span contains byte offset
-// off (the last record starting at or before it). Requires the positional
-// map.
-func (p *Provider) recordAt(s *snapshot, off int64) int {
-	return sort.Search(len(s.recStart), func(i int) bool { return s.recStart[i] > off }) - 1
-}
-
-// effectiveMask unions the tested top-level fields into the needed mask so
-// survivors materialize them too; nil (all fields) stays nil.
-func (p *Provider) effectiveMask(mask []bool, tests []expr.ColTest) []bool {
-	if mask == nil {
-		return nil
-	}
-	eff := make([]bool, len(mask))
-	copy(eff, mask)
-	for i := range tests {
-		if s := tests[i].Slot; s < len(eff) {
-			eff[s] = true
-		}
-	}
-	return eff
-}
-
-// testValue decodes the JSON value at i as the test's column kind and runs
-// the fused kernel. A null literal fails the test; malformed values raise
-// the same errors parseValue would.
-func (p *Provider) testValue(data []byte, t *expr.ColTest, i int) (bool, error) {
+// Test implements rawfile.Format: decode the JSON value at i as the test's
+// column kind and run the fused kernel. A null literal fails the test;
+// malformed values raise the same errors parseValue would.
+func (f format) Test(data []byte, t *expr.ColTest, i int) (bool, error) {
 	i = skipWS(data, i)
 	if i >= len(data) {
 		return false, fmt.Errorf("unexpected end of input")
@@ -630,243 +133,15 @@ func (p *Provider) testValue(data []byte, t *expr.ColTest, i int) (bool, error) 
 	}
 }
 
-// firstScanPushdown is the pushdown flavor of the first scan: each object
-// is tokenized just enough to map every top-level field offset (values are
-// skipped, not materialized), the pushed tests run on the mapped offsets,
-// and only surviving records decode their needed fields.
-func (p *Provider) firstScanPushdown(s *snapshot, tests []expr.ColTest, eff []bool, needle, escape *expr.NeedleCursor, skipped *int64, fn plan.ScanFunc) (int64, error) {
-	data := s.data
-	i := skipWS(data, 0)
-	row := make([]value.Value, p.ntop)
-	rec := value.Value{Kind: value.Record, L: row}
-	offs := make([]uint32, p.ntop)
-	noneMask := make([]bool, p.ntop) // map offsets only, materialize nothing
-	var recStart []int64
-	var fieldOff []uint32
-	for i < len(data) {
-		start := i
-		end, err := p.parseTopObject(data, i, noneMask, row, offs, int64(start))
-		if err != nil {
-			return *skipped, err
-		}
-		recStart = append(recStart, int64(start))
-		fieldOff = append(fieldOff, offs...)
-		if needle != nil {
-			m := needle.Next(start)
-			if e := escape.Next(start); e < m {
-				m = e
-			}
-			if m >= end {
-				// Neither the quoted literal nor any escape occurs within
-				// the record: no string field can equal the literal.
-				*skipped++
-				i = skipWS(data, end)
-				continue
-			}
-		}
-		pass := true
-		for ti := range tests {
-			t := &tests[ti]
-			if offs[t.Slot] == absentOff {
-				pass = false
-				break
-			}
-			ok, err := p.testValue(data, t, start+int(offs[t.Slot]))
-			if err != nil {
-				return *skipped, fmt.Errorf("jsonio: field %q: %w", p.schema.Fields[t.Slot].Name, err)
-			}
-			if !ok {
-				pass = false
-				break
-			}
-		}
-		if !pass {
-			*skipped++
-			i = skipWS(data, end)
-			continue
-		}
-		for fi := 0; fi < p.ntop; fi++ {
-			if eff != nil && !eff[fi] {
-				row[fi] = value.VNull
-				continue
-			}
-			if offs[fi] == absentOff {
-				row[fi] = nullFor(p.schema.Fields[fi].Type)
-				continue
-			}
-			v, _, err := parseValue(data, start+int(offs[fi]), p.schema.Fields[fi].Type)
-			if err != nil {
-				return *skipped, fmt.Errorf("jsonio: field %q: %w", p.schema.Fields[fi].Name, err)
-			}
-			row[fi] = v
-		}
-		complete := noComplete
-		if eff != nil {
-			complete = func() error {
-				for fi := 0; fi < p.ntop; fi++ {
-					if eff[fi] {
-						continue
-					}
-					if offs[fi] == absentOff {
-						row[fi] = nullFor(p.schema.Fields[fi].Type)
-						continue
-					}
-					v, _, err := parseValue(data, start+int(offs[fi]), p.schema.Fields[fi].Type)
-					if err != nil {
-						return err
-					}
-					row[fi] = v
-				}
-				return nil
-			}
-		}
-		if err := fn(rec, int64(start), complete); err != nil {
-			return *skipped, err
-		}
-		i = skipWS(data, end)
-	}
-	p.publishMap(s, recStart, fieldOff)
-	return *skipped, nil
-}
-
-// ScanOffsets implements plan.ScanProvider: the lazy-cache access path.
-func (p *Provider) ScanOffsets(offsets []int64, needed []value.Path, fn plan.ScanFunc) error {
-	s, err := p.ensureLoaded()
-	if err != nil {
-		return err
-	}
-	return p.scanOffsets(s, offsets, needed, fn)
-}
-
-// ScanOffsetsAt implements plan.EpochScanner: ScanOffsets pinned to a file
-// epoch. If the file was rewritten since the offsets were recorded, the
-// positions are meaningless in the new bytes — fail with ErrEpochChanged
-// instead of dereferencing them.
-func (p *Provider) ScanOffsetsAt(epoch uint64, offsets []int64, needed []value.Path, fn plan.ScanFunc) error {
-	s, err := p.ensureLoaded()
-	if err != nil {
-		return err
-	}
-	if s.epoch != epoch {
-		return plan.ErrEpochChanged
-	}
-	return p.scanOffsets(s, offsets, needed, fn)
-}
-
-func (p *Provider) scanOffsets(s *snapshot, offsets []int64, needed []value.Path, fn plan.ScanFunc) error {
-	mask, err := p.neededMask(needed)
-	if err != nil {
-		return err
-	}
-	row := make([]value.Value, p.ntop)
-	rec := value.Value{Kind: value.Record, L: row}
-	offs := make([]uint32, p.ntop)
-	for _, off := range offsets {
-		if s.mapped {
-			ri := sort.Search(len(s.recStart), func(i int) bool { return s.recStart[i] >= off })
-			if ri < len(s.recStart) && s.recStart[ri] == off {
-				if err := p.parseMapped(s, ri, off, mask, row); err != nil {
-					return err
-				}
-				complete := noComplete
-				if mask != nil {
-					ri, off := ri, off
-					complete = func() error { return p.completeMapped(s, ri, off, mask, row) }
-				}
-				if err := fn(rec, off, complete); err != nil {
-					return err
-				}
-				continue
-			}
-		}
-		// No positional map: parse everything so complete can be a no-op.
-		if _, err := p.parseTopObject(s.data, int(off), nil, row, offs, off); err != nil {
-			return err
-		}
-		if err := fn(rec, off, noComplete); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScanFrom implements plan.RefreshableProvider: stream the records whose
-// byte offset is >= from, in file order. The cache manager uses it to scan
-// only the appended tail when extending an entry; from is a previous
-// covered length, so it always lands on a record boundary.
-func (p *Provider) ScanFrom(from int64, needed []value.Path, fn plan.ScanFunc) error {
-	s, err := p.ensureLoaded()
-	if err != nil {
-		return err
-	}
-	mask, err := p.neededMask(needed)
-	if err != nil {
-		return err
-	}
-	row := make([]value.Value, p.ntop)
-	rec := value.Value{Kind: value.Record, L: row}
-	if s.mapped {
-		lo := sort.Search(len(s.recStart), func(i int) bool { return s.recStart[i] >= from })
-		for ri := lo; ri < len(s.recStart); ri++ {
-			start := s.recStart[ri]
-			if err := p.parseMapped(s, ri, start, mask, row); err != nil {
-				return err
-			}
-			complete := noComplete
-			if mask != nil {
-				ri, start := ri, start
-				complete = func() error { return p.completeMapped(s, ri, start, mask, row) }
-			}
-			if err := fn(rec, start, complete); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	data := s.data
-	offs := make([]uint32, p.ntop)
-	i := skipWS(data, int(from))
-	for i < len(data) {
-		start := i
-		end, err := p.parseTopObject(data, i, mask, row, offs, int64(start))
-		if err != nil {
-			return err
-		}
-		complete := noComplete
-		if mask != nil {
-			rowOffs := append([]uint32(nil), offs...)
-			complete = func() error {
-				for fi := 0; fi < p.ntop; fi++ {
-					if mask[fi] {
-						continue
-					}
-					if rowOffs[fi] == absentOff {
-						row[fi] = nullFor(p.schema.Fields[fi].Type)
-						continue
-					}
-					v, _, err := parseValue(data, start+int(rowOffs[fi]), p.schema.Fields[fi].Type)
-					if err != nil {
-						return err
-					}
-					row[fi] = v
-				}
-				return nil
-			}
-		}
-		if err := fn(rec, int64(start), complete); err != nil {
-			return err
-		}
-		i = skipWS(data, end)
-	}
-	return nil
-}
-
-// parseTopObject parses one top-level object starting at i, filling row
-// (masked fields materialized, others null), recording each field's value
-// offset into offs. Returns the index just past the object.
-func (p *Provider) parseTopObject(data []byte, i int, mask []bool, row []value.Value, offs []uint32, recStart int64) (int, error) {
+// parseTopObject parses one top-level object starting at start, filling
+// row (masked fields materialized, others null), recording each field's
+// value offset into offs. Returns the index just past the object.
+func (f format) parseTopObject(data []byte, start int, mask []bool, row []value.Value, offs []uint32) (int, error) {
+	i := start
 	for fi := range offs {
-		offs[fi] = absentOff
+		offs[fi] = rawfile.AbsentOff
+	}
+	for fi := range row {
 		row[fi] = value.VNull
 	}
 	i = skipWS(data, i)
@@ -900,7 +175,7 @@ func (p *Provider) parseTopObject(data []byte, i int, mask []bool, row []value.V
 			return i, fmt.Errorf("jsonio: expected ':' at offset %d", i)
 		}
 		i = skipWS(data, i+1)
-		fi, ft := p.schema.FieldIndex(key)
+		fi, ft := f.schema.FieldIndex(key)
 		if fi < 0 {
 			// Unknown key: skip its value.
 			ni, err := skipValue(data, i)
@@ -910,8 +185,8 @@ func (p *Provider) parseTopObject(data []byte, i int, mask []bool, row []value.V
 			i = ni
 			continue
 		}
-		offs[fi] = uint32(int64(i) - recStart)
-		if mask == nil || mask[fi] {
+		offs[fi] = uint32(i - start)
+		if row != nil && (mask == nil || mask[fi]) {
 			v, ni, err := parseValue(data, i, ft)
 			if err != nil {
 				return i, fmt.Errorf("jsonio: field %q: %w", key, err)
@@ -928,28 +203,11 @@ func (p *Provider) parseTopObject(data []byte, i int, mask []bool, row []value.V
 	}
 	// Normalize absent fields.
 	for fi := range offs {
-		if offs[fi] == absentOff && (mask == nil || mask[fi]) {
-			row[fi] = nullFor(p.schema.Fields[fi].Type)
+		if row != nil && offs[fi] == rawfile.AbsentOff && (mask == nil || mask[fi]) {
+			row[fi] = rawfile.NullFor(f.schema.Fields[fi].Type)
 		}
 	}
 	return i, nil
-}
-
-// nullFor returns the normalized null value for a type: records become
-// records of nulls, lists become empty lists, leaves become VNull.
-func nullFor(t *value.Type) value.Value {
-	switch t.Kind {
-	case value.Record:
-		fields := make([]value.Value, len(t.Fields))
-		for i, f := range t.Fields {
-			fields[i] = nullFor(f.Type)
-		}
-		return value.VRecord(fields...)
-	case value.List:
-		return value.VList()
-	default:
-		return value.VNull
-	}
 }
 
 // parseValue parses a JSON value at i according to the expected type t.
@@ -960,7 +218,7 @@ func parseValue(data []byte, i int, t *value.Type) (value.Value, int, error) {
 	}
 	if data[i] == 'n' {
 		if i+4 <= len(data) && string(data[i:i+4]) == "null" {
-			return nullFor(t), i + 4, nil
+			return rawfile.NullFor(t), i + 4, nil
 		}
 		return value.VNull, i, fmt.Errorf("bad literal at %d", i)
 	}
@@ -1066,7 +324,7 @@ func parseObject(data []byte, i int, t *value.Type) (value.Value, int, error) {
 	}
 	for fi := range fields {
 		if !seen[fi] {
-			fields[fi] = nullFor(t.Fields[fi].Type)
+			fields[fi] = rawfile.NullFor(t.Fields[fi].Type)
 		}
 	}
 	return value.VRecord(fields...), i, nil
